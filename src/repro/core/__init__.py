@@ -4,8 +4,8 @@ Public API:
     h_bz        — Algorithm 1 (distance-generalized Batagelj–Zaveršnik).
     h_lb        — Algorithms 2–3 (lower-bound algorithm).
     h_lb_ub     — Algorithms 4–6 (lower + upper bound, partitioned, top-down).
-    decompose   — dispatcher (picks classic BZ for h=1 is NOT done: all
-                  algorithms natively support h>=1).
+
+All three peel with the one bucket-peel engine in ``repro.core.decomp``.
 """
 from repro.core.hbz import h_bz
 from repro.core.hlb import h_lb

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.core.buckets import Buckets
+from repro.core.decomp import core_decomp
 from repro.core.kernels import Counter, all_h_degrees, bounded_reach
 
 
@@ -72,7 +72,8 @@ def upper_bound(
     """Algorithm 5: UB(v) = core index of v in the (implicit) power graph G^h.
 
     The power graph is never materialized: each deletion re-runs one h-BFS
-    to find the neighbors whose approximated h-degree drops by exactly 1.
+    to find the neighbors whose approximated h-degree drops by exactly 1
+    (:func:`repro.core.decomp.core_decomp` with ``decrement="all"``).
     Since a real deletion can drop h-degrees by more than 1, the result is an
     upper bound on the true (k,h)-core index, not the core index itself.
 
@@ -83,28 +84,8 @@ def upper_bound(
     n = A.shape[0]
     alive = np.ones(n, dtype=bool)
     if init_h_degrees is None:
-        ubdeg = batch_h_degrees(A, alive, h, counter, spark).copy()
-    else:
-        ubdeg = np.asarray(init_h_degrees, dtype=np.int64).copy()
-    bk = Buckets(n)
-    for v in range(n):
-        bk.add(v, int(ubdeg[v]))
+        init_h_degrees = batch_h_degrees(A, alive, h, counter, spark)
     ub = np.zeros(n, dtype=np.int64)
-    for k in range(n + 1):
-        while bk.nonempty(k):
-            v = bk.pop(k)
-            ub[v] = k
-            reached, _ = bounded_reach(A, v, alive, h, counter)
-            alive[v] = False
-            for u in np.flatnonzero(reached):
-                ubdeg[u] -= 1
-                bk.move(int(u), max(int(ubdeg[u]), k))
+    core_decomp(A, h, 0, n, init_h_degrees, alive, ub, counter, decrement="all")
     return ub
 
-
-def h_degree_as_ub(
-    A: np.ndarray, h: int, counter: Counter | None = None, spark=None
-) -> np.ndarray:
-    """The baseline upper bound of §6.3: a vertex's h-degree in G."""
-    n = A.shape[0]
-    return batch_h_degrees(A, np.ones(n, dtype=bool), h, counter, spark)

@@ -1,23 +1,34 @@
-"""Algorithm 3 — CoreDecomp: bucket peeling with lazily-verified lower bounds.
+"""The bucket-peel engine: Algorithm 3 (CoreDecomp), Algorithm 1 and Algorithm 5.
 
-Shared by h-LB (one call covering [1, |V|]) and h-LB+UB (one call per
-upper-bound partition). Semantics follow the paper:
+The paper's h-BZ (Alg. 1), its upper bound on the implicit power graph G^h
+(Alg. 5) and CoreDecomp (Alg. 3) are one Batagelj–Zaveršnik bucket peel.
+They differ only in how a peeled vertex's still-alive h-neighbours get their
+new key, which ``decrement`` selects:
 
-- a vertex sitting in bucket i with ``setlb[v] == True`` is there because of
-  a *lower bound*; its real h-degree has not been computed yet;
-- popping such a vertex computes its current h-degree and re-buckets it;
-- popping a vertex with ``setlb[v] == False`` peels it: its core index is
-  assigned iff k >= kmin (otherwise a later partition will assign it), and
-  the h-degrees of its still-bounded-free h-neighbors are updated — by a
-  full h-BFS when d(u,v) < h, by a O(1) decrement when d(u,v) == h exactly
-  (Alg. 3 line 17).
+- ``"none"`` (h-BZ): a fresh h-BFS for each, so keys stay exact h-degrees;
+- ``"all"`` (UB): an O(1) decrement for each, so keys become degrees in the
+  implicit power graph (an upper bound on the core index);
+- ``"at_h"`` (Alg. 3, shared by h-LB and each h-LB+UB partition): a
+  decrement for the neighbours at distance exactly h (line 17: the peeled
+  vertex cannot be interior to any of their <=h paths) and an h-BFS for the
+  rest.
+
+Only the Alg. 3 rule starts from lazy keys: a vertex sitting in bucket i with
+``setlb[v] == True`` is there because of a *lower bound*; popping it computes
+its current h-degree and re-buckets it. The other rules start from exact
+h-degrees. Popping a vertex with ``setlb[v] == False`` peels it: its core
+index is assigned iff k >= kmin (otherwise a later partition will assign it).
 """
 from __future__ import annotations
+
+from typing import Literal
 
 import numpy as np
 
 from repro.core.buckets import Buckets
 from repro.core.kernels import Counter, bounded_reach
+
+Decrement = Literal["none", "all", "at_h"]
 
 
 def core_decomp(
@@ -25,27 +36,34 @@ def core_decomp(
     h: int,
     kmin: int,
     kmax: int,
-    bk: Buckets,
-    setlb: np.ndarray,
+    keys: np.ndarray,
     alive: np.ndarray,
     core: np.ndarray,
-    assigned: np.ndarray,
-    deg: np.ndarray,
     counter: Counter | None = None,
     order: list[int] | None = None,
+    decrement: Decrement = "at_h",
 ) -> None:
     """Peel ``alive`` in bucket order, assigning cores in [kmin, kmax].
 
     Args:
-        bk: buckets pre-loaded with every alive vertex (at a lower bound, or
-            at its already-known core index when processed by a previous
-            partition — such vertices sit above ``kmax`` and are never popped).
-        setlb: per-vertex flag; True = bucket position is only a lower bound.
-        alive: mutated in place as vertices are peeled.
-        core/assigned: mutated in place for vertices peeled at k >= kmin.
-        deg: scratch h-degree array, valid only where ``setlb`` is False.
+        keys: initial bucket of every alive vertex — a lower bound (``"at_h"``)
+            or the exact h-degree (``"none"``, ``"all"``). A vertex whose core
+            index a previous partition already assigned sits above ``kmax``
+            and is never popped.
+        alive: the vertices to peel; mutated in place as they are peeled.
+        core: mutated in place for vertices peeled at k >= kmin; entries of
+            unassigned vertices must be 0.
         order: if given, append vertices in peel order (global peels only).
+        decrement: which reached neighbours of a peeled vertex are decremented
+            instead of recomputed (see the module docstring).
     """
+    n = A.shape[0]
+    bk = Buckets(n)
+    for v in np.flatnonzero(alive).tolist():
+        bk.add(v, int(keys[v]))
+    setlb = np.full(n, decrement == "at_h")
+    # Valid only where setlb is False; lazy vertices get theirs when popped.
+    deg = np.array(keys, dtype=np.int64)
     for k in range(max(0, kmin - 1), kmax + 1):
         while bk.nonempty(k):
             v = bk.pop(k)
@@ -61,19 +79,22 @@ def core_decomp(
                 continue
             if k >= kmin:
                 core[v] = k
-                assigned[v] = True
             if order is not None:
                 order.append(v)
             setlb[v] = True
             reached, at_h = bounded_reach(A, v, alive, h, counter)
             alive[v] = False
-            for u in np.flatnonzero(reached):
-                u = int(u)
-                if setlb[u]:
-                    continue
-                if at_h[u]:
-                    deg[u] -= 1
-                else:
-                    r2, _ = bounded_reach(A, u, alive, h, counter)
-                    deg[u] = int(r2.sum())
-                bk.move(u, max(int(deg[u]), k))
+            ids = np.flatnonzero(reached & ~setlb)
+            dec = reached if decrement == "all" else at_h if decrement == "at_h" else None
+            if dec is None:
+                redo = ids
+            else:
+                hit = dec[ids]
+                deg[ids[hit]] -= 1
+                redo = ids[~hit]
+            # Recomputations read only ``alive``, so they may all run before
+            # the moves; the moves keep ascending vertex order.
+            for u in redo.tolist():
+                deg[u] = int(bounded_reach(A, u, alive, h, counter)[0].sum())
+            for u, d in zip(ids.tolist(), deg[ids].tolist()):
+                bk.move(u, max(d, k))

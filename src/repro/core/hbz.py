@@ -3,6 +3,7 @@
 Processes vertices in increasing h-degree order via bucketing; every deletion
 re-computes the h-degree of *all* vertices in the deleted vertex's
 h-neighborhood (the cost the lower/upper bounds of h-LB and h-LB+UB avoid).
+The peel itself is :func:`repro.core.decomp.core_decomp` with no decrements.
 """
 from __future__ import annotations
 
@@ -11,40 +12,25 @@ import time
 import numpy as np
 
 from repro.core.bounds import batch_h_degrees
-from repro.core.buckets import Buckets
-from repro.core.kernels import Counter, bounded_reach
+from repro.core.decomp import core_decomp
+# bounded_reach is unused here but bound so khbench/spans.py can wrap it.
+from repro.core.kernels import Counter, bounded_reach, check_h  # noqa: F401
 from repro.core.types import CoreResult
 from repro.graphs.graph import Graph
 
 
-def h_bz(
-    g: Graph,
-    h: int,
-    counter: Counter | None = None,
-    spark=None,
-) -> CoreResult:
+def h_bz(g: Graph, h: int, counter: Counter | None = None) -> CoreResult:
     """Exact (k,h)-core decomposition by plain peeling (paper Algorithm 1)."""
+    check_h(h)
     t0 = time.monotonic()
     counter = counter if counter is not None else Counter()
     A = g.adjacency
     n = g.n
     alive = np.ones(n, dtype=bool)
-    deg = batch_h_degrees(A, alive, h, counter, spark)
-    bk = Buckets(n)
-    for v in range(n):
-        bk.add(v, int(deg[v]))
+    deg = batch_h_degrees(A, alive, h, counter)
     core = np.zeros(n, dtype=np.int64)
     order: list[int] = []
-    for k in range(n + 1):
-        while bk.nonempty(k):
-            v = bk.pop(k)
-            core[v] = k
-            order.append(v)
-            reached, _ = bounded_reach(A, v, alive, h, counter)
-            alive[v] = False
-            for u in np.flatnonzero(reached):
-                r2, _ = bounded_reach(A, int(u), alive, h, counter)
-                bk.move(int(u), max(int(r2.sum()), k))
+    core_decomp(A, h, 0, n, deg, alive, core, counter, order, decrement="none")
     return CoreResult(
         core=core,
         h=h,

@@ -12,10 +12,10 @@ from typing import Literal
 
 import numpy as np
 
-from repro.core.buckets import Buckets
-from repro.core.bounds import batch_h_degrees, lower_bounds
+# batch_h_degrees is unused here but bound so khbench/spans.py can wrap it.
+from repro.core.bounds import batch_h_degrees, lower_bounds  # noqa: F401
 from repro.core.decomp import core_decomp
-from repro.core.kernels import Counter
+from repro.core.kernels import Counter, check_h
 from repro.core.types import CoreResult
 from repro.graphs.graph import Graph
 
@@ -26,7 +26,6 @@ def h_lb(
     g: Graph,
     h: int,
     counter: Counter | None = None,
-    spark=None,
     lb: LowerBoundKind = "lb2",
 ) -> CoreResult:
     """Exact (k,h)-core decomposition with lower-bound lazy bucketing.
@@ -36,6 +35,7 @@ def h_lb(
             "lb1" (Table 5 ablation), or "none" (every vertex starts at 0;
             degenerates to h-BZ plus one lazy recomputation per vertex).
     """
+    check_h(h)
     t0 = time.monotonic()
     counter = counter if counter is not None else Counter()
     A = g.adjacency
@@ -43,21 +43,11 @@ def h_lb(
     if lb == "none":
         lb_vec = np.zeros(n, dtype=np.int64)
     else:
-        lb1, lb2 = lower_bounds(A, h, counter, spark)
+        lb1, lb2 = lower_bounds(A, h, counter)
         lb_vec = lb2 if lb == "lb2" else lb1
-    bk = Buckets(n)
-    setlb = np.ones(n, dtype=bool)
-    for v in range(n):
-        bk.add(v, int(lb_vec[v]))
-    alive = np.ones(n, dtype=bool)
     core = np.zeros(n, dtype=np.int64)
-    assigned = np.zeros(n, dtype=bool)
-    deg = np.zeros(n, dtype=np.int64)
     order: list[int] = []
-    core_decomp(
-        A, h, kmin=0, kmax=n, bk=bk, setlb=setlb, alive=alive,
-        core=core, assigned=assigned, deg=deg, counter=counter, order=order,
-    )
+    core_decomp(A, h, 0, n, lb_vec, np.ones(n, dtype=bool), core, counter, order)
     return CoreResult(
         core=core,
         h=h,

@@ -24,10 +24,9 @@ from typing import Literal
 
 import numpy as np
 
-from repro.core.buckets import Buckets
 from repro.core.bounds import batch_h_degrees, lower_bounds, upper_bound
 from repro.core.decomp import core_decomp
-from repro.core.kernels import Counter, bounded_reach
+from repro.core.kernels import Counter, bounded_reach, check_h
 from repro.core.types import CoreResult
 from repro.graphs.graph import Graph, pack_adjacency, unpack_adjacency
 
@@ -110,31 +109,22 @@ def _run_interval(
     ub: np.ndarray,
     lb2: np.ndarray,
     core: np.ndarray,
-    assigned: np.ndarray,
     lb3_acc: np.ndarray,
     counter: Counter | None,
     spark=None,
 ) -> None:
-    """Process one partition (Algorithm 4 lines 12–18); mutates core/assigned."""
-    n = A.shape[0]
+    """Process one partition (Algorithm 4 lines 12–18); mutates core.
+
+    ``core`` holds the indexes earlier (higher) partitions assigned and 0
+    for every vertex still unassigned.
+    """
     vk = ub >= kmin
     vk, lb3_star, _ = improve_lb(A, h, vk, kmin, lb2, counter, spark)
-    ids = np.flatnonzero(vk)
-    if len(ids) == 0:
+    if not vk.any():
         return
-    lb3_acc[ids] = np.maximum(lb3_acc[ids], lb3_star[ids])
-    bk = Buckets(n)
-    setlb = np.ones(n, dtype=bool)
-    for v in ids:
-        v = int(v)
-        base = int(core[v]) if assigned[v] else 0
-        bk.add(v, max(base, int(lb3_acc[v]), kmin - 1, 0))
-    alive = vk.copy()
-    deg = np.zeros(n, dtype=np.int64)
-    core_decomp(
-        A, h, kmin=kmin, kmax=kmax, bk=bk, setlb=setlb, alive=alive,
-        core=core, assigned=assigned, deg=deg, counter=counter,
-    )
+    lb3_acc[vk] = np.maximum(lb3_acc[vk], lb3_star[vk])
+    keys = np.maximum(np.maximum(core, lb3_acc), kmin - 1)
+    core_decomp(A, h, kmin, kmax, keys, vk, core, counter)
 
 
 def h_lb_ub(
@@ -161,6 +151,7 @@ def h_lb_ub(
         ub_kind: "ub" = Algorithm 5's power-graph bound (the paper's h-LB+UB);
            "hdegree" = the plain h-degree baseline bound (Table 5 ablation).
     """
+    check_h(h)
     t0 = time.monotonic()
     counter = counter if counter is not None else Counter()
     A = g.adjacency
@@ -189,12 +180,10 @@ def h_lb_ub(
         )
 
     core = np.zeros(n, dtype=np.int64)
-    assigned = np.zeros(n, dtype=bool)
     lb3_acc = np.zeros(n, dtype=np.int64)
     for kmin, kmax in intervals:
         _run_interval(
-            A, h, kmin, kmax, ub, lb2, core, assigned, lb3_acc, counter,
-            spark_for_batches,
+            A, h, kmin, kmax, ub, lb2, core, lb3_acc, counter, spark_for_batches,
         )
     name = "h-LB+UB" if ub_kind == "ub" else "h-LB+UB[hdeg]"
     if parallel == "hdegree":
@@ -247,13 +236,12 @@ def _run_intervals_spark(
         for row in pdf.itertuples(index=False):
             kmin, kmax = int(row.kmin), int(row.kmax)
             core_t = np.zeros(n, dtype=np.int64)
-            assigned_t = np.zeros(n, dtype=bool)
             lb3_t = np.zeros(n, dtype=np.int64)
             _run_interval(
-                A_task, h, kmin, kmax, ub_t, lb2_t, core_t, assigned_t,
-                lb3_t, counter=None,
+                A_task, h, kmin, kmax, ub_t, lb2_t, core_t, lb3_t, counter=None,
             )
-            for v in np.flatnonzero(assigned_t):
+            # Cores of 0 need no row: the driver's vector starts at 0.
+            for v in np.flatnonzero(core_t):
                 out_v.append(int(v))
                 out_c.append(int(core_t[v]))
         return pd.DataFrame({"v": pd.Series(out_v, dtype="int64"),

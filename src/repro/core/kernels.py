@@ -38,21 +38,22 @@ class Counter:
 
     def charge(self, visits: int) -> None:
         """Record one BFS traversal that scanned ``visits`` vertices."""
-        self.visits += int(visits)
-        self.bfs_calls += 1
-        if self.visit_budget is not None and self.visits > self.visit_budget:
-            raise BudgetExceeded(f"visit budget exceeded: {self.visits}")
-        if self.deadline is not None and time.monotonic() > self.deadline:
-            raise BudgetExceeded("wall-clock budget exceeded")
+        self.merge_batch(visits, 1)
 
     def merge_batch(self, visits: int, bfs_calls: int) -> None:
-        """Fold in work done remotely (e.g. by Spark tasks)."""
+        """Fold in ``bfs_calls`` traversals (e.g. done remotely by Spark tasks)."""
         self.visits += int(visits)
         self.bfs_calls += int(bfs_calls)
         if self.visit_budget is not None and self.visits > self.visit_budget:
             raise BudgetExceeded(f"visit budget exceeded: {self.visits}")
         if self.deadline is not None and time.monotonic() > self.deadline:
             raise BudgetExceeded("wall-clock budget exceeded")
+
+
+def check_h(h: int) -> None:
+    """Reject a distance threshold below 1 (the decompositions need h >= 1)."""
+    if h < 1:
+        raise ValueError(f"h must be >= 1, got {h}")
 
 
 def bounded_reach(
@@ -106,14 +107,6 @@ def bounded_reach(
     return reached, at_h
 
 
-def h_degree(
-    A: np.ndarray, v: int, alive: np.ndarray, h: int, counter: Counter | None = None
-) -> int:
-    """Size of the h-neighborhood of ``v`` in the alive-induced subgraph."""
-    reached, _ = bounded_reach(A, v, alive, h, counter)
-    return int(reached.sum())
-
-
 def all_h_degrees(
     A: np.ndarray,
     alive: np.ndarray,
@@ -132,7 +125,7 @@ def all_h_degrees(
     out = np.zeros(n, dtype=np.int64)
     vs = np.flatnonzero(alive) if vertices is None else np.asarray(vertices)
     for v in vs:
-        out[v] = h_degree(A, int(v), alive, h, counter)
+        out[v] = bounded_reach(A, int(v), alive, h, counter)[0].sum()
     return out
 
 

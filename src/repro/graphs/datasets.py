@@ -150,7 +150,7 @@ DATASETS: dict[str, Callable[[], Graph]] = {
     "lj": _lj,
 }
 
-# Paper Table 1, for side-by-side reporting in jobs/EXPERIMENTS.md.
+# Paper Table 1, for side-by-side reporting by the Table 1 harness and EXPERIMENTS.md.
 PAPER_TABLE1: dict[str, tuple[int, int, float, int, int]] = {
     # name: (|V|, |E|, avg deg, max deg, diameter)
     "coli": (328, 456, 2.78, 100, 14),

@@ -22,7 +22,7 @@ import pandas as pd
 from pyspark.sql import DataFrame, SparkSession
 from pyspark.sql import functions as F
 
-from repro.core.kernels import bounded_reach
+from repro.core.kernels import bounded_reach, check_h
 from repro.graphs.graph import Graph, pack_adjacency, unpack_adjacency
 
 
@@ -33,8 +33,7 @@ def h_degrees_dataframe(edges: DataFrame, h: int) -> DataFrame:
         edges: symmetric (src, dst) edge DataFrame.
         h: distance threshold >= 1.
     """
-    if h < 1:
-        raise ValueError("h must be >= 1")
+    check_h(h)
     reach = edges.select("src", "dst").distinct()
     frontier = reach
     for _ in range(h - 1):

@@ -17,7 +17,7 @@ import time
 
 import numpy as np
 
-from repro.core.kernels import Counter, all_h_degrees
+from repro.core.kernels import Counter, all_h_degrees, check_h
 from repro.core.types import CoreResult
 from repro.graphs.graph import Graph
 
@@ -29,6 +29,7 @@ def kh_core_bsp(
     counter: Counter | None = None,
 ) -> CoreResult:
     """Distributed/bulk-synchronous exact (k,h)-core decomposition."""
+    check_h(h)
     t0 = time.monotonic()
     counter = counter if counter is not None else Counter()
     A = g.adjacency

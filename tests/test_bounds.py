@@ -3,7 +3,7 @@ power-graph identity for UB."""
 import numpy as np
 import pytest
 
-from repro.core.bounds import batch_h_degrees, h_degree_as_ub, lower_bounds, upper_bound
+from repro.core.bounds import batch_h_degrees, lower_bounds, upper_bound
 from repro.core.hlbub import build_intervals, improve_lb
 from repro.core.reference import (
     brute_force_cores,
@@ -22,7 +22,7 @@ def test_bound_sandwich(model, seed, h):
     core = brute_force_cores(g, h)
     lb1, lb2 = lower_bounds(A, h)
     ub = upper_bound(A, h)
-    hdeg = h_degree_as_ub(A, h)
+    hdeg = batch_h_degrees(A, np.ones(g.n, dtype=bool), h)
     assert (lb1 <= lb2).all()
     assert (lb2 <= core).all(), "LB2 must lower-bound the core index (Obs. 2)"
     assert (core <= ub).all(), "UB must upper-bound the core index (Obs. 3)"

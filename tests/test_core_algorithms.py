@@ -1,16 +1,21 @@
 """Cross-validation battery: h-BZ, h-LB, h-LB+UB vs the definitional
 brute-force reference, classic-core reduction at h=1, and hand-built cases."""
+import hashlib
+
 import numpy as np
 import pytest
 
-from repro.core import h_bz, h_lb, h_lb_ub
+from repro.core import Counter, h_bz, h_lb, h_lb_ub
+from repro.core.bounds import upper_bound
 from repro.core.reference import (
     brute_force_cores,
     classic_core_decomposition,
     kh_core_members,
     power_graph,
 )
+from repro.graphs import datasets
 from repro.graphs.graph import Graph
+from repro.pregel.peeling import kh_core_bsp
 from tests.conftest import small_graph
 
 ALGOS = {
@@ -142,3 +147,30 @@ def test_empty_and_singleton_graphs():
         assert fn(g0, 2).core.tolist() == [0]
     g3 = Graph.from_edges(3, np.zeros((0, 2), dtype=np.int64))
     assert h_lb(g3, 2).core.tolist() == [0, 0, 0]
+
+
+@pytest.mark.parametrize("fn", [h_bz, h_lb, h_lb_ub, kh_core_bsp])
+@pytest.mark.parametrize("h", [0, -1])
+def test_rejects_h_below_one(fn, h, path_graph):
+    with pytest.raises(ValueError, match="h must be >= 1"):
+        fn(path_graph, h)
+
+
+def _digest(order) -> str:
+    return hashlib.sha256(np.asarray(order, dtype=np.int64).tobytes()).hexdigest()[:16]
+
+
+def test_golden_counts_coli_h3():
+    """Pin the paper's metric: any change to visits, BFS calls or the peel
+    order (coloring consumes it) on a fixed dataset cell shows up here."""
+    g = datasets.load("coli")
+    bz, lb, lbub = h_bz(g, 3), h_lb(g, 3), h_lb_ub(g, 3)
+    assert (bz.visits, bz.bfs_calls) == (2_682_312, 10_442)
+    assert (lb.visits, lb.bfs_calls) == (236_938, 2_309)
+    assert (lbub.visits, lbub.bfs_calls) == (722_210, 5_444)
+    c = Counter()
+    upper_bound(g.adjacency, 3, c)
+    assert (c.visits, c.bfs_calls) == (63_637, 656)
+    assert _digest(bz.order) == "0954513321731c6e"
+    assert _digest(lb.order) == "4361e93c56fe800b"
+    assert np.array_equal(bz.core, lb.core) and np.array_equal(bz.core, lbub.core)

@@ -8,7 +8,6 @@ from repro.core.kernels import (
     all_h_degrees,
     bounded_reach,
     distance_matrix,
-    h_degree,
 )
 from tests.conftest import small_graph
 
@@ -60,9 +59,10 @@ def test_bounded_reach_h_zero_and_h_one(path_graph):
 def test_h_degree_path(path_graph):
     A = path_graph.adjacency
     alive = np.ones(5, dtype=bool)
-    assert h_degree(A, 0, alive, 2) == 2
-    assert h_degree(A, 2, alive, 2) == 4
-    assert h_degree(A, 2, alive, 4) == 4
+    assert bounded_reach(A, 0, alive, 2)[0].sum() == 2
+    assert bounded_reach(A, 2, alive, 2)[0].sum() == 4
+    assert bounded_reach(A, 2, alive, 4)[0].sum() == 4
+    assert all_h_degrees(A, alive, 2).tolist() == [2, 3, 4, 3, 2]
 
 
 def test_all_h_degrees_subset(path_graph):
