@@ -22,3 +22,8 @@ def cele():
 @pytest.fixture(scope="session")
 def rnpa():
     return load("rnPA")
+
+
+@pytest.fixture(scope="session")
+def fbco():
+    return load("FBco")

@@ -13,17 +13,18 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core.decomp import core_decomp
-from repro.core.kernels import Counter, all_h_degrees, bounded_reach
+from repro.core.kernels import Adjacency, Counter, all_h_degrees, bounded_reach
 
 
 def batch_h_degrees(
-    A: np.ndarray,
+    A: Adjacency,
     alive: np.ndarray,
     h: int,
     counter: Counter | None = None,
     spark=None,
 ) -> np.ndarray:
-    """h-degrees of every alive vertex; Spark-parallel when a session is given."""
+    """h-degrees of every alive vertex; Spark-parallel when a session is given
+    (the Spark fan-out broadcasts ``A``, so it must then be the dense matrix)."""
     if spark is not None:
         from repro.pregel.hdegree import h_degrees_spark
 
@@ -35,7 +36,7 @@ def batch_h_degrees(
 
 
 def lower_bounds(
-    A: np.ndarray,
+    A: Adjacency,
     h: int,
     counter: Counter | None = None,
     spark=None,
@@ -46,7 +47,7 @@ def lower_bounds(
     h-BZ with one extra recomputation per vertex, matching the paper's scope
     (its bounds target h > 1).
     """
-    n = A.shape[0]
+    n = len(A)
     alive = np.ones(n, dtype=bool)
     h_lo = h // 2
     h_hi = (h + 1) // 2
@@ -63,7 +64,7 @@ def lower_bounds(
 
 
 def upper_bound(
-    A: np.ndarray,
+    A: Adjacency,
     h: int,
     counter: Counter | None = None,
     init_h_degrees: np.ndarray | None = None,
@@ -81,7 +82,7 @@ def upper_bound(
         init_h_degrees: optional precomputed deg^h on the full graph (reused
             by h-LB+UB so the batch is not paid twice).
     """
-    n = A.shape[0]
+    n = len(A)
     alive = np.ones(n, dtype=bool)
     if init_h_degrees is None:
         init_h_degrees = batch_h_degrees(A, alive, h, counter, spark)

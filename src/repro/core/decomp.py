@@ -26,13 +26,13 @@ from typing import Literal
 import numpy as np
 
 from repro.core.buckets import Buckets
-from repro.core.kernels import Counter, bounded_reach
+from repro.core.kernels import Adjacency, Counter, bounded_reach
 
 Decrement = Literal["none", "all", "at_h"]
 
 
 def core_decomp(
-    A: np.ndarray,
+    A: Adjacency,
     h: int,
     kmin: int,
     kmax: int,
@@ -57,7 +57,7 @@ def core_decomp(
         decrement: which reached neighbours of a peeled vertex are decremented
             instead of recomputed (see the module docstring).
     """
-    n = A.shape[0]
+    n = len(A)
     bk = Buckets(n)
     for v in np.flatnonzero(alive).tolist():
         bk.add(v, int(keys[v]))

@@ -14,7 +14,9 @@ import numpy as np
 from repro.core.bounds import batch_h_degrees
 from repro.core.decomp import core_decomp
 # bounded_reach is unused here but bound so khbench/spans.py can wrap it.
-from repro.core.kernels import Counter, bounded_reach, check_h  # noqa: F401
+from repro.core.kernels import (  # noqa: F401
+    Counter, bounded_reach, check_h, kernel_name, substrate,
+)
 from repro.core.types import CoreResult
 from repro.graphs.graph import Graph
 
@@ -24,7 +26,7 @@ def h_bz(g: Graph, h: int, counter: Counter | None = None) -> CoreResult:
     check_h(h)
     t0 = time.monotonic()
     counter = counter if counter is not None else Counter()
-    A = g.adjacency
+    A = substrate(g)
     n = g.n
     alive = np.ones(n, dtype=bool)
     deg = batch_h_degrees(A, alive, h, counter)
@@ -39,4 +41,5 @@ def h_bz(g: Graph, h: int, counter: Counter | None = None) -> CoreResult:
         bfs_calls=counter.bfs_calls,
         runtime_s=time.monotonic() - t0,
         order=order,
+        extra={"kernel": kernel_name(A)},
     )

@@ -15,7 +15,7 @@ import numpy as np
 # batch_h_degrees is unused here but bound so khbench/spans.py can wrap it.
 from repro.core.bounds import batch_h_degrees, lower_bounds  # noqa: F401
 from repro.core.decomp import core_decomp
-from repro.core.kernels import Counter, check_h
+from repro.core.kernels import Counter, check_h, kernel_name, substrate
 from repro.core.types import CoreResult
 from repro.graphs.graph import Graph
 
@@ -38,7 +38,7 @@ def h_lb(
     check_h(h)
     t0 = time.monotonic()
     counter = counter if counter is not None else Counter()
-    A = g.adjacency
+    A = substrate(g)
     n = g.n
     if lb == "none":
         lb_vec = np.zeros(n, dtype=np.int64)
@@ -56,5 +56,5 @@ def h_lb(
         bfs_calls=counter.bfs_calls,
         runtime_s=time.monotonic() - t0,
         order=order,
-        extra={"lb": lb_vec},
+        extra={"lb": lb_vec, "kernel": kernel_name(A)},
     )

@@ -26,7 +26,9 @@ import numpy as np
 
 from repro.core.bounds import batch_h_degrees, lower_bounds, upper_bound
 from repro.core.decomp import core_decomp
-from repro.core.kernels import Counter, bounded_reach, check_h
+from repro.core.kernels import (
+    Adjacency, Counter, bounded_reach, check_h, kernel_name, substrate,
+)
 from repro.core.types import CoreResult
 from repro.graphs.graph import Graph, pack_adjacency, unpack_adjacency
 
@@ -54,7 +56,7 @@ def build_intervals(ub: np.ndarray, lb2: np.ndarray, s: int) -> list[tuple[int, 
 
 
 def improve_lb(
-    A: np.ndarray,
+    A: Adjacency,
     h: int,
     vk: np.ndarray,
     kmin: int,
@@ -74,7 +76,7 @@ def improve_lb(
     Returns ``(vk, lb3, degs)``: the cleaned mask, per-vertex LB3 (0 outside
     V[k]), and the (approximate, post-cleaning) h-degree scratch array.
     """
-    n = A.shape[0]
+    n = len(A)
     vk = vk.copy()
     degs = batch_h_degrees(A, vk, h, counter, spark)
     lb3 = np.zeros(n, dtype=np.int64)
@@ -102,7 +104,7 @@ def improve_lb(
 
 
 def _run_interval(
-    A: np.ndarray,
+    A: Adjacency,
     h: int,
     kmin: int,
     kmax: int,
@@ -154,9 +156,10 @@ def h_lb_ub(
     check_h(h)
     t0 = time.monotonic()
     counter = counter if counter is not None else Counter()
-    A = g.adjacency
     n = g.n
     spark_for_batches = spark if parallel == "hdegree" else None
+    # The Spark fan-out broadcasts the bit-packed dense matrix.
+    A = substrate(g) if spark_for_batches is None else g.adjacency
     deg0 = batch_h_degrees(A, np.ones(n, dtype=bool), h, counter, spark_for_batches)
     _, lb2 = lower_bounds(A, h, counter, spark_for_batches)
     if ub_kind == "ub":
@@ -176,7 +179,8 @@ def h_lb_ub(
             core=core, h=h, algo="h-LB+UB[spark-intervals]",
             visits=counter.visits, bfs_calls=counter.bfs_calls,
             runtime_s=time.monotonic() - t0,
-            extra={"intervals": intervals, "tasks": n_tasks, "ub": ub, "lb2": lb2},
+            extra={"intervals": intervals, "tasks": n_tasks, "ub": ub, "lb2": lb2,
+                   "kernel": kernel_name(A)},
         )
 
     core = np.zeros(n, dtype=np.int64)
@@ -192,7 +196,7 @@ def h_lb_ub(
         core=core, h=h, algo=name,
         visits=counter.visits, bfs_calls=counter.bfs_calls,
         runtime_s=time.monotonic() - t0,
-        extra={"intervals": intervals, "ub": ub, "lb2": lb2},
+        extra={"intervals": intervals, "ub": ub, "lb2": lb2, "kernel": kernel_name(A)},
     )
 
 

@@ -1,10 +1,18 @@
-"""In-memory undirected graph with a dense boolean adjacency matrix.
+"""In-memory undirected graph with two cached adjacency representations.
 
-All decomposition kernels in this reproduction operate on graphs of a few
-hundred to a few thousand vertices (scaled-down analogues of the paper's
-datasets, see DESIGN.md §4). At that scale a dense ``(n, n)`` boolean
-adjacency matrix is both the fastest representation for NumPy-vectorized
-h-bounded BFS and cheap to broadcast to Spark tasks (bit-packed, n²/8 bytes).
+The graphs here have a few hundred to a few thousand vertices (scaled-down
+analogues of the paper's datasets, see DESIGN.md §4). The h-bounded BFS
+kernel (:mod:`repro.core.kernels`) walks one of two substrates, both built
+lazily from the canonical edge array:
+
+- ``adjacency``: a dense ``(n, n)`` boolean matrix. A NumPy row scan costs
+  O(n) per frontier vertex whatever its degree, which is cheap on dense
+  graphs, and it bit-packs to n²/8 bytes for Spark broadcasts;
+- ``adjacency_lists``: sorted neighbour lists, O(n + m) memory, walked in
+  pure Python at a cost proportional to degree. On sparse graphs this is
+  several times faster than the row scan.
+
+``repro.core.kernels.substrate`` picks between them by density.
 """
 from __future__ import annotations
 
@@ -39,6 +47,7 @@ class Graph:
     n: int
     edges: np.ndarray
     _adj: np.ndarray | None = field(default=None, repr=False, compare=False)
+    _adj_lists: list[list[int]] | None = field(default=None, repr=False, compare=False)
 
     @classmethod
     def from_edges(cls, n: int, edges: np.ndarray) -> "Graph":
@@ -46,6 +55,8 @@ class Graph:
         e = canonical_edges(edges)
         if len(e) and int(e.max()) >= n:
             raise ValueError(f"edge endpoint {int(e.max())} out of range for n={n}")
+        if len(e) and int(e.min()) < 0:
+            raise ValueError(f"edge endpoint {int(e.min())} is negative")
         return cls(n=n, edges=e)
 
     @property
@@ -63,6 +74,18 @@ class Graph:
                 A[self.edges[:, 1], self.edges[:, 0]] = True
             self._adj = A
         return self._adj
+
+    @property
+    def adjacency_lists(self) -> list[list[int]]:
+        """Sorted neighbour lists (cached), built from ``edges`` without the
+        dense matrix."""
+        if self._adj_lists is None:
+            both = self.both_directions()
+            both = both[np.lexsort((both[:, 1], both[:, 0]))]
+            cuts = np.searchsorted(both[:, 0], np.arange(self.n + 1)).tolist()
+            dst = both[:, 1].tolist()
+            self._adj_lists = [dst[a:b] for a, b in zip(cuts, cuts[1:])]
+        return self._adj_lists
 
     @property
     def degrees(self) -> np.ndarray:

@@ -17,7 +17,7 @@ import time
 
 import numpy as np
 
-from repro.core.kernels import Counter, all_h_degrees, check_h
+from repro.core.kernels import Counter, all_h_degrees, check_h, kernel_name, substrate
 from repro.core.types import CoreResult
 from repro.graphs.graph import Graph
 
@@ -32,7 +32,8 @@ def kh_core_bsp(
     check_h(h)
     t0 = time.monotonic()
     counter = counter if counter is not None else Counter()
-    A = g.adjacency
+    # Spark tasks unpack the broadcast dense matrix; local runs pick by density.
+    A = g.adjacency if spark is not None else substrate(g)
     n = g.n
     alive = np.ones(n, dtype=bool)
     core = np.zeros(n, dtype=np.int64)
@@ -67,5 +68,5 @@ def kh_core_bsp(
         visits=counter.visits,
         bfs_calls=counter.bfs_calls,
         runtime_s=time.monotonic() - t0,
-        extra={"supersteps": rounds},
+        extra={"supersteps": rounds, "kernel": kernel_name(A)},
     )

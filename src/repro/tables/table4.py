@@ -12,6 +12,7 @@ import pandas as pd
 
 from repro.core import h_lb_ub
 from repro.core.bounds import batch_h_degrees, lower_bounds, upper_bound
+from repro.core.kernels import substrate
 from repro.graphs.datasets import load
 
 DATASETS = ["caHe", "caAs", "amzn", "rnPA"]
@@ -52,7 +53,7 @@ def run(spark=None, fast: bool = False) -> pd.DataFrame:
     rows = []
     for name in names:
         g = load(name)
-        A = g.adjacency
+        A = substrate(g)
         for h in hs:
             core = h_lb_ub(g, h).core
             lb1, lb2 = lower_bounds(A, h)

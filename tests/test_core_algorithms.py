@@ -6,7 +6,9 @@ import numpy as np
 import pytest
 
 from repro.core import Counter, h_bz, h_lb, h_lb_ub
-from repro.core.bounds import upper_bound
+from repro.core.bounds import lower_bounds, upper_bound
+from repro.core.decomp import core_decomp
+from repro.core.kernels import all_h_degrees
 from repro.core.reference import (
     brute_force_cores,
     classic_core_decomposition,
@@ -14,6 +16,7 @@ from repro.core.reference import (
     power_graph,
 )
 from repro.graphs import datasets
+from repro.graphs.generators import erdos_renyi
 from repro.graphs.graph import Graph
 from repro.pregel.peeling import kh_core_bsp
 from tests.conftest import small_graph
@@ -174,3 +177,43 @@ def test_golden_counts_coli_h3():
     assert _digest(bz.order) == "0954513321731c6e"
     assert _digest(lb.order) == "4361e93c56fe800b"
     assert np.array_equal(bz.core, lb.core) and np.array_equal(bz.core, lbub.core)
+
+
+@pytest.mark.parametrize("kernel", ["dense", "lists"])
+def test_golden_counts_coli_h3_both_kernels(kernel):
+    """The coli h=3 golden counts, with each substrate handed to the engine
+    directly, so neither kernel can drift while the entry points use the other."""
+    g = datasets.load("coli")
+    A = g.adjacency if kernel == "dense" else g.adjacency_lists
+    n = g.n
+    c, core, order = Counter(), np.zeros(n, dtype=np.int64), []
+    alive = np.ones(n, dtype=bool)
+    deg = all_h_degrees(A, alive, 3, c)
+    core_decomp(A, 3, 0, n, deg, alive, core, c, order, decrement="none")
+    assert (c.visits, c.bfs_calls) == (2_682_312, 10_442)  # h-BZ
+    assert _digest(order) == "0954513321731c6e"
+    c, lb_core, order = Counter(), np.zeros(n, dtype=np.int64), []
+    _, lb2 = lower_bounds(A, 3, c)
+    core_decomp(A, 3, 0, n, lb2, np.ones(n, dtype=bool), lb_core, c, order)
+    assert (c.visits, c.bfs_calls) == (236_938, 2_309)  # h-LB
+    assert _digest(order) == "4361e93c56fe800b"
+    assert np.array_equal(core, lb_core)
+    c = Counter()
+    upper_bound(A, 3, c)
+    assert (c.visits, c.bfs_calls) == (63_637, 656)
+
+
+def test_sparse_local_paths_never_build_the_dense_matrix():
+    """On a sparse graph the non-Spark decompositions run on the O(n + m)
+    neighbour lists and report it; the n x n matrix is never built."""
+    coli = datasets.load("coli")
+    g = Graph.from_edges(coli.n, coli.edges)
+    ref = h_bz(coli, 2).core  # may build coli's matrix; g is a separate copy
+    for fn in (h_bz, h_lb, h_lb_ub, kh_core_bsp):
+        res = fn(g, 2)
+        assert np.array_equal(res.core, ref), fn.__name__
+        assert res.extra["kernel"] == "lists", fn.__name__
+    assert g._adj is None
+    dense = erdos_renyi(30, 0.5, seed=0)
+    for fn in (h_bz, h_lb, h_lb_ub, kh_core_bsp):
+        assert fn(dense, 2).extra["kernel"] == "dense", fn.__name__

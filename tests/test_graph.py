@@ -19,6 +19,11 @@ def test_from_edges_rejects_out_of_range():
         Graph.from_edges(3, np.array([[0, 5]]))
 
 
+def test_from_edges_rejects_negative_ids():
+    with pytest.raises(ValueError, match="negative"):
+        Graph.from_edges(4, np.array([[0, -1], [1, 2]]))
+
+
 def test_adjacency_symmetric_no_diag():
     g = Graph.from_edges(4, np.array([[0, 1], [1, 2], [2, 3]]))
     A = g.adjacency
@@ -36,6 +41,14 @@ def test_degrees_match_adjacency():
 def test_neighbors_sorted():
     g = Graph.from_edges(5, np.array([[2, 4], [2, 0], [2, 1]]))
     assert g.neighbors(2).tolist() == [0, 1, 4]
+
+
+def test_adjacency_lists_match_dense_without_building_it():
+    g = Graph.from_edges(6, np.array([[2, 4], [2, 0], [2, 1], [0, 5], [4, 2]]))
+    lists = g.adjacency_lists
+    assert g._adj is None
+    assert lists == [np.flatnonzero(row).tolist() for row in g.adjacency]
+    assert lists[3] == []  # isolated vertex
 
 
 def test_induced_subgraph_relabels():

@@ -8,8 +8,49 @@ from repro.core.kernels import (
     all_h_degrees,
     bounded_reach,
     distance_matrix,
+    kernel_name,
+    substrate,
 )
+from repro.graphs.generators import barabasi_albert, hub_boost
+from repro.graphs.graph import Graph
 from tests.conftest import small_graph
+
+
+def _agreement_graphs():
+    for model in ("er", "er-dense", "ba", "ws", "grid"):
+        for seed in (0, 1, 2, 3):
+            yield f"{model}-{seed}", small_graph(model, seed)
+    yield "hub", hub_boost(barabasi_albert(40, 1, seed=4), n_hubs=2, fanout=25, seed=5)
+    yield "isolated", Graph.from_edges(8, np.array([[i, i + 1] for i in range(6)]))
+
+
+@pytest.mark.parametrize("label,g", list(_agreement_graphs()))
+def test_substrates_agree(label, g):
+    """The list kernel returns the dense kernel's masks and charges its visits."""
+    dense, lists = g.adjacency, g.adjacency_lists
+    rng = np.random.default_rng(g.m)
+    masks = [np.ones(g.n, dtype=bool)] + [rng.random(g.n) < p for p in (0.8, 0.5)]
+    for alive in masks:
+        for h in range(6):
+            cd, cl = Counter(), Counter()
+            for v in range(g.n):  # dead sources included
+                rd, ad = bounded_reach(dense, v, alive, h, cd)
+                rl, al = bounded_reach(lists, v, alive, h, cl)
+                assert np.array_equal(rd, rl) and np.array_equal(ad, al), (v, h)
+                assert rl.dtype == ad.dtype == bool
+            assert (cd.visits, cd.bfs_calls) == (cl.visits, cl.bfs_calls), h
+            cd, cl = Counter(), Counter()
+            degs = all_h_degrees(dense, alive, h, cd)
+            assert np.array_equal(degs, all_h_degrees(lists, alive, h, cl)), h
+            assert (cd.visits, cd.bfs_calls) == (cl.visits, cl.bfs_calls), h
+
+
+def test_substrate_chosen_by_fill_ratio():
+    path = Graph.from_edges(300, np.array([[v, v + 1] for v in range(299)]))
+    assert kernel_name(substrate(path)) == "lists"  # 2m/n² = 0.66%
+    assert path._adj is None
+    cycle = Graph.from_edges(150, np.array([[v, (v + 1) % 150] for v in range(150)]))
+    assert kernel_name(substrate(cycle)) == "dense"  # 1.33%
 
 
 @pytest.mark.parametrize("model", ["er", "ba", "ws", "grid"])

@@ -109,6 +109,23 @@ def test_hlbub_spark_hdegree_matches(spark):
     assert np.array_equal(res.core, ref)
 
 
+def test_spark_paths_on_sparse_graph(spark):
+    """On a graph the local kernel walks as neighbour lists, Spark tasks
+    still get the broadcast dense matrix, and every path agrees with the
+    local run."""
+    g = barabasi_albert(300, 1, seed=8)  # a tree: 2m/n² = 0.66%
+    local = kh_core_bsp(g, 2)
+    dist = kh_core_bsp(g, 2, spark=spark)
+    assert np.array_equal(dist.core, local.core)
+    assert (local.extra["kernel"], dist.extra["kernel"]) == ("lists", "dense")
+    res = h_lb_ub(g, 2, spark=spark, parallel="hdegree")
+    assert np.array_equal(res.core, local.core)
+    assert res.extra["kernel"] == "dense"
+    res = h_lb_ub(g, 2, spark=spark, parallel="intervals")
+    assert np.array_equal(res.core, local.core)
+    assert res.extra["kernel"] == "lists"  # the bounds, computed locally
+
+
 def test_hlbub_parallel_intervals_requires_spark():
     g = erdos_renyi(10, 0.3, seed=0)
     with pytest.raises(ValueError):
