@@ -18,7 +18,7 @@ import time
 
 import numpy as np
 
-from repro.core.kernels import bounded_reach
+from repro.core.kernels import bounded_reach, connected_components
 from repro.graphs.graph import Graph
 
 
@@ -30,12 +30,20 @@ class NodeBudgetExceeded(RuntimeError):
         self.incumbent = incumbent
 
 
-def _far_pair(A: np.ndarray, mask: np.ndarray, h: int) -> tuple[int, int] | None:
-    """Some pair u,w in mask with d_{G[mask]}(u,w) > h, or None (=> h-club)."""
-    ids = np.flatnonzero(mask)
+def _far_pair(
+    A: np.ndarray, S: np.ndarray, h: int, degs: np.ndarray | None = None
+) -> tuple[int, int] | None:
+    """Some pair u,w in S with d_{G[S]}(u,w) > h, or None (=> h-club).
+
+    With ``degs`` the scan tries the smallest-h-degree vertices first (they
+    are the most likely to have a >h-distant partner, so it exits early).
+    """
+    ids = np.flatnonzero(S)
+    if degs is not None:
+        ids = ids[np.argsort(degs[ids])]
     for u in ids:
-        reached, _ = bounded_reach(A, int(u), mask, h)
-        missing = mask & ~reached
+        reached, _ = bounded_reach(A, int(u), S, h)
+        missing = S & ~reached
         missing[u] = False
         if missing.any():
             return int(u), int(np.flatnonzero(missing)[0])
@@ -111,24 +119,6 @@ def star_incumbent(A: np.ndarray, mask: np.ndarray, h: int) -> np.ndarray:
     return out
 
 
-def _components(A: np.ndarray, mask: np.ndarray) -> list[np.ndarray]:
-    """Connected components of the induced subgraph, as boolean masks."""
-    comps = []
-    todo = mask.copy()
-    while todo.any():
-        v = int(np.flatnonzero(todo)[0])
-        frontier = np.zeros(A.shape[0], dtype=bool)
-        frontier[v] = True
-        seen = frontier.copy()
-        while frontier.any():
-            nxt = A[np.flatnonzero(frontier)].any(axis=0) & todo & ~seen
-            seen |= nxt
-            frontier = nxt
-        comps.append(seen)
-        todo &= ~seen
-    return comps
-
-
 def _kernelize(
     A: np.ndarray, S: np.ndarray, h: int, lower: int
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -167,21 +157,6 @@ def _kernelize(
     return S, degs
 
 
-def _far_pair_from_degs(
-    A: np.ndarray, S: np.ndarray, h: int, degs: np.ndarray
-) -> tuple[int, int] | None:
-    """Far pair scan, trying the smallest-h-degree vertices first (they are
-    the most likely to have a >h-distant partner, so the scan exits early)."""
-    ids = np.flatnonzero(S)
-    for u in ids[np.argsort(degs[ids])]:
-        reached, _ = bounded_reach(A, int(u), S, h)
-        missing = S & ~reached
-        missing[u] = False
-        if missing.any():
-            return int(u), int(np.flatnonzero(missing)[0])
-    return None
-
-
 def _bnb(
     A: np.ndarray,
     start: np.ndarray,
@@ -209,7 +184,7 @@ def _bnb(
         S, degs = _kernelize(A, S, h, lower=int(best.sum()))
         if int(S.sum()) <= int(best.sum()):
             continue
-        pair = _far_pair_from_degs(A, S, h, degs)
+        pair = _far_pair(A, S, h, degs)
         if pair is None:
             best = S
             continue
@@ -243,7 +218,9 @@ def max_h_club_dbc(
         best = np.zeros(g.n, dtype=bool)
         best[int(np.flatnonzero(full)[0])] = True
     budget = [node_budget]
-    comps = sorted(_components(A, full), key=lambda c: -int(c.sum()))
+    labels = connected_components(A, full)
+    comps = [labels == r for r in np.unique(labels[full])]
+    comps.sort(key=lambda c: -int(c.sum()))
     for comp in comps:
         if int(comp.sum()) <= int(best.sum()):
             break

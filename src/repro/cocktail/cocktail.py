@@ -11,20 +11,9 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core import h_lb_ub
+from repro.core.kernels import connected_components
 from repro.core.types import CoreResult
 from repro.graphs.graph import Graph
-
-
-def _component_of(A: np.ndarray, mask: np.ndarray, start: int) -> np.ndarray:
-    """Connected component of ``start`` inside the induced subgraph."""
-    frontier = np.zeros(A.shape[0], dtype=bool)
-    frontier[start] = True
-    seen = frontier.copy()
-    while frontier.any():
-        nxt = A[np.flatnonzero(frontier)].any(axis=0) & mask & ~seen
-        seen |= nxt
-        frontier = nxt
-    return seen
 
 
 def cocktail_party(
@@ -36,17 +25,19 @@ def cocktail_party(
     """Solve Problem 2; returns (solution mask, its guaranteed min h-degree k).
 
     Returns an empty mask with k = -1 when the query vertices are not
-    connected even in the 0-core (i.e., not in one component of G).
+    connected even in the 0-core (i.e., not in one component of G). Raises
+    ``ValueError`` for an empty query or an id outside ``[0, n)``.
     """
+    q = np.asarray(query, dtype=np.int64)
+    if q.size == 0 or q.min() < 0 or q.max() >= g.n:
+        raise ValueError(f"query must be non-empty ids in [0, {g.n}), got {query!r}")
     if decomposition is None:
         decomposition = h_lb_ub(g, h)
     core = decomposition.core
-    q = np.asarray(query, dtype=np.int64)
     k_max = int(core[q].min())  # Q must survive in the core, so k <= min core(Q)
     A = g.adjacency
     for k in range(k_max, -1, -1):
-        mask = core >= k
-        comp = _component_of(A, mask, int(q[0]))
-        if mask[q].all() and comp[q].all():
-            return comp, k
+        labels = connected_components(A, core >= k)
+        if labels[q[0]] >= 0 and (labels[q] == labels[q[0]]).all():
+            return labels == labels[q[0]], k
     return np.zeros(g.n, dtype=bool), -1

@@ -68,7 +68,6 @@ def upper_bound(
     h: int,
     counter: Counter | None = None,
     init_h_degrees: np.ndarray | None = None,
-    spark=None,
 ) -> np.ndarray:
     """Algorithm 5: UB(v) = core index of v in the (implicit) power graph G^h.
 
@@ -85,7 +84,7 @@ def upper_bound(
     n = len(A)
     alive = np.ones(n, dtype=bool)
     if init_h_degrees is None:
-        init_h_degrees = batch_h_degrees(A, alive, h, counter, spark)
+        init_h_degrees = batch_h_degrees(A, alive, h, counter)
     ub = np.zeros(n, dtype=np.int64)
     core_decomp(A, h, 0, n, init_h_degrees, alive, ub, counter, decrement="all")
     return ub

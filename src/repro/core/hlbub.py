@@ -163,7 +163,7 @@ def h_lb_ub(
     deg0 = batch_h_degrees(A, np.ones(n, dtype=bool), h, counter, spark_for_batches)
     _, lb2 = lower_bounds(A, h, counter, spark_for_batches)
     if ub_kind == "ub":
-        ub = upper_bound(A, h, counter, init_h_degrees=deg0, spark=spark_for_batches)
+        ub = upper_bound(A, h, counter, init_h_degrees=deg0)
     else:
         ub = deg0.copy()
     if s is None:

@@ -190,19 +190,17 @@ def all_h_degrees(
     alive: np.ndarray,
     h: int,
     counter: Counter | None = None,
-    vertices: np.ndarray | None = None,
 ) -> np.ndarray:
-    """h-degrees of ``vertices`` (default: every alive vertex).
+    """h-degrees of every alive vertex.
 
-    Returns a full-length int64 array; entries for vertices not computed
-    are 0. This is the batch the paper parallelizes in §4.6 — the Spark
-    fan-out lives in :mod:`repro.pregel.hdegree` and produces identical
-    values (tested).
+    Returns a full-length int64 array; entries for dead vertices are 0.
+    This is the batch the paper parallelizes in §4.6 — the Spark fan-out
+    lives in :mod:`repro.pregel.hdegree` and produces identical values
+    (tested).
     """
     n = len(A)
     out = np.zeros(n, dtype=np.int64)
-    vs = np.flatnonzero(alive) if vertices is None else np.asarray(vertices)
-    for v in vs:
+    for v in np.flatnonzero(alive):
         out[v] = bounded_reach(A, int(v), alive, h, counter)[0].sum()
     return out
 
@@ -232,6 +230,26 @@ def distance_matrix(A: np.ndarray, alive: np.ndarray | None = None) -> np.ndarra
             frontier = nxt
             d += 1
     return dist
+
+
+def connected_components(A: np.ndarray, alive: np.ndarray) -> np.ndarray:
+    """Component labels of the alive-induced subgraph.
+
+    Returns an int64 array holding, for each alive vertex, the smallest alive
+    id in its component, and -1 for each dead vertex.
+    """
+    n = A.shape[0]
+    label = np.full(n, -1, dtype=np.int64)
+    todo = alive.copy()
+    while todo.any():
+        v = int(np.argmax(todo))
+        frontier = np.zeros(n, dtype=bool)
+        frontier[v] = True
+        while frontier.any():
+            label[frontier] = v
+            todo &= ~frontier
+            frontier = A[np.flatnonzero(frontier)].any(axis=0) & todo
+    return label
 
 
 def timed_deadline(seconds: float | None) -> float | None:

@@ -9,7 +9,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.graphs.graph import Graph, canonical_edges
+from repro.core.kernels import connected_components
+from repro.graphs.graph import Graph
 
 
 def _rng(seed: int) -> np.random.Generator:
@@ -191,7 +192,7 @@ def ensure_connected(g0: Graph, seed: int = 0) -> Graph:
     """Link all connected components into one by adding one edge per extra
     component (random endpoint in each), preserving structure otherwise."""
     rng = _rng(seed)
-    comp = connected_components(g0)
+    comp = connected_components(g0.adjacency, np.ones(g0.n, dtype=bool))
     labels = np.unique(comp)
     if len(labels) <= 1:
         return g0
@@ -203,22 +204,3 @@ def ensure_connected(g0: Graph, seed: int = 0) -> Graph:
         extra.append((anchor, v))
     all_edges = np.concatenate([g0.edges, np.array(extra, dtype=np.int64)], axis=0)
     return Graph.from_edges(g0.n, all_edges)
-
-
-def connected_components(g0: Graph) -> np.ndarray:
-    """Component label per vertex (label = smallest vertex id in component)."""
-    n = g0.n
-    A = g0.adjacency
-    label = np.full(n, -1, dtype=np.int64)
-    for v in range(n):
-        if label[v] >= 0:
-            continue
-        frontier = np.zeros(n, dtype=bool)
-        frontier[v] = True
-        seen = frontier.copy()
-        while frontier.any():
-            nxt = A[np.flatnonzero(frontier)].any(axis=0) & ~seen
-            seen |= nxt
-            frontier = nxt
-        label[seen] = v
-    return label

@@ -98,7 +98,7 @@ class Graph:
 
     def neighbors(self, v: int) -> np.ndarray:
         """Sorted neighbor ids of ``v``."""
-        return np.flatnonzero(self.adjacency[v])
+        return np.array(self.adjacency_lists[v], dtype=np.intp)
 
     def induced(self, mask: np.ndarray) -> tuple["Graph", np.ndarray]:
         """Subgraph induced by the boolean ``mask``.

@@ -33,8 +33,7 @@ def closeness_centrality(g: Graph, dist: np.ndarray | None = None) -> np.ndarray
 def betweenness_centrality(g: Graph) -> np.ndarray:
     """Exact betweenness via Brandes' algorithm (unweighted)."""
     n = g.n
-    A = g.adjacency
-    adj = [np.flatnonzero(A[v]) for v in range(n)]
+    adj = g.adjacency_lists
     bc = np.zeros(n, dtype=np.float64)
     for s in range(n):
         sigma = np.zeros(n)
@@ -48,7 +47,6 @@ def betweenness_centrality(g: Graph) -> np.ndarray:
             v = queue.pop(0)
             order.append(v)
             for w in adj[v]:
-                w = int(w)
                 if dist[w] < 0:
                     dist[w] = dist[v] + 1
                     queue.append(w)

@@ -56,7 +56,6 @@ def h_degrees_spark(
     A: np.ndarray,
     alive: np.ndarray,
     h: int,
-    chunk_partitions: int | None = None,
 ) -> tuple[np.ndarray, int, int]:
     """Batch h-degrees of all alive vertices via mapInPandas fan-out.
 
@@ -70,9 +69,7 @@ def h_degrees_spark(
     ids = np.flatnonzero(alive)
     if len(ids) == 0:
         return np.zeros(n, dtype=np.int64), 0, 0
-    parts = chunk_partitions or min(
-        int(sc.defaultParallelism), max(1, len(ids) // 64)
-    )
+    parts = min(int(sc.defaultParallelism), max(1, len(ids) // 64))
     vdf = spark.createDataFrame(pd.DataFrame({"v": ids})).repartition(parts)
 
     def compute(batches: Iterator[pd.DataFrame]) -> Iterator[pd.DataFrame]:

@@ -1,7 +1,8 @@
 """Regenerate one evaluation table: ``python -m repro.tables N`` (N = 1..7).
 
-Builds a local SparkSession, runs ``repro.tables.tableN.run`` over the full
-sweep and prints the table with the paper's numbers alongside ours.
+Runs ``repro.tables.tableN.run`` over the full sweep and prints the table
+with the paper's numbers alongside ours. Only Table 1 uses Spark, so only it
+starts a local SparkSession.
 """
 import argparse
 import importlib
@@ -30,29 +31,32 @@ def main(argv: list[str] | None = None) -> None:
     parser = argparse.ArgumentParser(prog="python -m repro.tables", description=__doc__)
     parser.add_argument("table", type=int, choices=sorted(TITLES))
     n = parser.parse_args(argv).table
+    run = importlib.import_module(f"repro.tables.table{n}").run
+    if n == 1:
+        from pyspark.sql import SparkSession
 
-    from pyspark.sql import SparkSession
-
-    spark = (
-        SparkSession.builder.appName(f"table{n}")
-        .master("local[*]")
-        .config("spark.sql.shuffle.partitions", "64")
-        .config("spark.sql.execution.arrow.pyspark.enabled", "true")
-        .config("spark.sql.autoBroadcastJoinThreshold", -1)
-        .config("spark.driver.host", "127.0.0.1")
-        .config("spark.ui.enabled", "false")
-        .getOrCreate()
-    )
-    try:
-        out = importlib.import_module(f"repro.tables.table{n}").run(spark=spark)
-        if n == 7:
-            errors, cores = out
-            emit(TITLES[7], errors.reset_index(names="selector"))
-            emit("Table 7 (bottom) - max core index / size", cores)
-        else:
-            emit(TITLES[n], out)
-    finally:
-        spark.stop()
+        spark = (
+            SparkSession.builder.appName("table1")
+            .master("local[*]")
+            .config("spark.sql.shuffle.partitions", "64")
+            .config("spark.sql.execution.arrow.pyspark.enabled", "true")
+            .config("spark.sql.autoBroadcastJoinThreshold", -1)
+            .config("spark.driver.host", "127.0.0.1")
+            .config("spark.ui.enabled", "false")
+            .getOrCreate()
+        )
+        try:
+            out = run(spark=spark)
+        finally:
+            spark.stop()
+    else:
+        out = run()
+    if n == 7:
+        errors, cores = out
+        emit(TITLES[7], errors.reset_index(names="selector"))
+        emit("Table 7 (bottom) - max core index / size", cores)
+    else:
+        emit(TITLES[n], out)
 
 
 if __name__ == "__main__":

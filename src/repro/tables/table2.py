@@ -28,7 +28,7 @@ PAPER_TABLE2 = {
 }
 
 
-def run(spark=None, fast: bool = False, time_budget_s: float = 120.0) -> pd.DataFrame:
+def run(fast: bool = False, time_budget_s: float = 120.0) -> pd.DataFrame:
     """Build the Table-2 analogue (max core / distinct cores per h)."""
     names = ["coli", "jazz"] if fast else DATASETS
     hs = [1, 2] if fast else H_VALUES

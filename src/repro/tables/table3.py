@@ -51,7 +51,6 @@ PAPER_TABLE3 = {
 
 
 def run(
-    spark=None,
     fast: bool = False,
     time_budget_s: float = 60.0,
     datasets: list[str] | None = None,

@@ -46,7 +46,7 @@ def _err_tight(bound: np.ndarray, core: np.ndarray) -> tuple[float, float]:
     return float(rel.mean()), tight
 
 
-def run(spark=None, fast: bool = False) -> pd.DataFrame:
+def run(fast: bool = False) -> pd.DataFrame:
     """Compute bound-quality statistics for every (dataset, h)."""
     names = ["rnPA"] if fast else DATASETS
     hs = [2] if fast else H_VALUES

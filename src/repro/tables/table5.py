@@ -41,7 +41,7 @@ PAPER_TABLE5 = {
 }
 
 
-def run(spark=None, fast: bool = False, time_budget_s: float = 60.0) -> pd.DataFrame:
+def run(fast: bool = False, time_budget_s: float = 60.0) -> pd.DataFrame:
     """Run every bound variant per (dataset, h) and report runtimes."""
     names = ["rnPA"] if fast else DATASETS
     hs = [2] if fast else H_VALUES

@@ -57,7 +57,6 @@ def _timed(fn, *args, time_budget_s: float = 45.0, **kwargs) -> tuple[str | floa
 
 
 def run(
-    spark=None,
     fast: bool = False,
     node_budget: int = 1_000_000,
     time_budget_s: float = 45.0,

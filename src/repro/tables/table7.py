@@ -38,7 +38,6 @@ PAPER_TABLE7 = {
 
 
 def run(
-    spark=None,
     fast: bool = False,
     ell: int = 20,
     n_pairs: int = 500,

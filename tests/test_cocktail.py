@@ -3,7 +3,7 @@ import numpy as np
 import pytest
 
 from repro.cocktail import cocktail_party
-from repro.core.kernels import all_h_degrees
+from repro.core.kernels import all_h_degrees, connected_components
 from repro.graphs.generators import erdos_renyi
 from repro.graphs.graph import Graph
 
@@ -37,10 +37,8 @@ def test_optimality_vs_bruteforce(seed):
             trial[q] = True
             trial[list(extra)] = True
             # connectivity of the induced subgraph containing q
-            from repro.cocktail.cocktail import _component_of
-
-            comp = _component_of(g.adjacency, trial, q[0])
-            if not (comp[q].all() and (comp == trial).all()):
+            labels = connected_components(g.adjacency, trial)
+            if not (labels[trial] == labels[q[0]]).all():
                 continue
             degs = all_h_degrees(g.adjacency, trial, h)
             best = max(best, int(degs[trial].min()))
@@ -61,3 +59,10 @@ def test_single_query_vertex_gets_top_core_component():
     mask, k = cocktail_party(g, [3], h=2)
     assert mask[3]
     assert k >= 0
+
+
+@pytest.mark.parametrize("query", [[], [-1], [0, 4], [1, -3]])
+def test_rejects_empty_or_out_of_range_query(query):
+    g = Graph.from_edges(4, np.array([[0, 1], [1, 2], [2, 3]]))
+    with pytest.raises(ValueError, match="query"):
+        cocktail_party(g, query, h=2)

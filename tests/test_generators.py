@@ -2,6 +2,7 @@
 import numpy as np
 import pytest
 
+from repro.core.kernels import connected_components
 from repro.graphs import generators as gen
 from repro.graphs.datasets import DATASETS, PAPER_TABLE1, load
 from repro.graphs.graph import Graph
@@ -68,13 +69,13 @@ def test_hub_boost_raises_max_degree():
 def test_ensure_connected():
     g = Graph.from_edges(6, np.array([[0, 1], [2, 3], [4, 5]]))
     gc = gen.ensure_connected(g, seed=0)
-    comp = gen.connected_components(gc)
+    comp = connected_components(gc.adjacency, np.ones(gc.n, dtype=bool))
     assert len(np.unique(comp)) == 1
 
 
 def test_connected_components_labels():
     g = Graph.from_edges(5, np.array([[0, 1], [2, 3]]))
-    comp = gen.connected_components(g)
+    comp = connected_components(g.adjacency, np.ones(g.n, dtype=bool))
     assert comp[0] == comp[1]
     assert comp[2] == comp[3]
     assert comp[0] != comp[2]
@@ -85,7 +86,7 @@ def test_connected_components_labels():
 def test_dataset_builds_connected_and_deterministic(name):
     g = load(name)
     assert g is load(name)  # memoized
-    comp = gen.connected_components(g)
+    comp = connected_components(g.adjacency, np.ones(g.n, dtype=bool))
     assert len(np.unique(comp)) == 1
     assert g.n > 100
     assert name in PAPER_TABLE1

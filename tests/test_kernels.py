@@ -7,6 +7,7 @@ from repro.core.kernels import (
     Counter,
     all_h_degrees,
     bounded_reach,
+    connected_components,
     distance_matrix,
     kernel_name,
     substrate,
@@ -106,13 +107,6 @@ def test_h_degree_path(path_graph):
     assert all_h_degrees(A, alive, 2).tolist() == [2, 3, 4, 3, 2]
 
 
-def test_all_h_degrees_subset(path_graph):
-    A = path_graph.adjacency
-    alive = np.ones(5, dtype=bool)
-    out = all_h_degrees(A, alive, 2, vertices=np.array([0, 2]))
-    assert out[0] == 2 and out[2] == 4 and out[1] == 0  # 1 not computed
-
-
 def test_counter_counts_visits(star_graph):
     A = star_graph.adjacency
     alive = np.ones(6, dtype=bool)
@@ -164,3 +158,24 @@ def test_distance_matrix_alive_mask(path_graph):
     assert dist[0, 1] == 1
     assert dist[0, 3] == -1  # severed by removing vertex 2
     assert (dist[2] == -1).all()
+
+
+@pytest.mark.parametrize("model", ["er", "er-dense", "ba", "ws", "grid"])
+@pytest.mark.parametrize("seed", [0, 1, 2, 3])
+def test_connected_components_match_distance_matrix(model, seed):
+    """Each alive vertex is labelled with the smallest alive id it reaches
+    inside the alive-induced subgraph; dead vertices get -1."""
+    g = small_graph(model, seed)
+    A = g.adjacency
+    rng = np.random.default_rng(seed)
+    masks = [np.ones(g.n, dtype=bool)] + [rng.random(g.n) < p for p in (0.9, 0.6, 0.3, 0)]
+    for alive in masks[1:]:
+        alive[0] = False  # a dead lowest id: labels must skip it
+    masks[1][A[-1]] = False  # the last vertex alive but isolated
+    masks[1][-1] = True
+    for alive in masks:
+        dist = distance_matrix(A, alive)
+        expect = np.array([np.flatnonzero(row >= 0).min(initial=g.n) for row in dist])
+        expect[~alive] = -1
+        assert np.array_equal(connected_components(A, alive), expect)
+

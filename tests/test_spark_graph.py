@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from repro import synth_data
-from repro.graphs.generators import connected_components, erdos_renyi
+from repro.core.kernels import connected_components
+from repro.graphs.generators import erdos_renyi
 from repro.graphs.graph import Graph
 from repro.graphs.spark_graph import (
     connected_components_df,
@@ -57,7 +58,7 @@ def test_connected_components_df_matches_local(spark):
         9, np.array([[0, 1], [1, 2], [3, 4], [5, 6], [6, 7], [7, 5]])
     )
     got = {r.v: r.component for r in connected_components_df(spark, g).collect()}
-    expect = connected_components(g)
+    expect = connected_components(g.adjacency, np.ones(g.n, dtype=bool))
     assert len(got) == g.n
     for v in range(g.n):
         assert got[v] == expect[v]
@@ -66,6 +67,6 @@ def test_connected_components_df_matches_local(spark):
 def test_connected_components_df_random(spark):
     g = erdos_renyi(25, 0.08, seed=11)
     got = {r.v: r.component for r in connected_components_df(spark, g).collect()}
-    expect = connected_components(g)
+    expect = connected_components(g.adjacency, np.ones(g.n, dtype=bool))
     for v in range(g.n):
         assert got[v] == expect[v]
