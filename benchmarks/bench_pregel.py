@@ -1,10 +1,9 @@
 """Benchmarks for the distributed layer: Spark h-degree fan-out vs driver
-kernel, DataFrame h-degree, and the BSP decomposition."""
+kernel, and the BSP decomposition."""
 import numpy as np
 
 from repro.core.kernels import all_h_degrees
-from repro.graphs.spark_graph import edges_to_df
-from repro.pregel import h_degrees_dataframe, h_degrees_spark, kh_core_bsp
+from repro.pregel import h_degrees_spark, kh_core_bsp
 
 
 def test_bench_hdegrees_driver_kernel(benchmark, cele):
@@ -20,17 +19,6 @@ def test_bench_hdegrees_spark_mapinpandas(benchmark, spark, cele):
         rounds=3, iterations=1,
     )
     assert calls == cele.n
-
-
-def test_bench_hdegrees_dataframe(benchmark, spark, coli):
-    edges = edges_to_df(spark, coli).cache()
-    edges.count()
-
-    def run():
-        return h_degrees_dataframe(edges, 2).count()
-
-    n = benchmark.pedantic(run, rounds=2, iterations=1)
-    assert n > 0
 
 
 def test_bench_bsp_local(benchmark, coli):

@@ -18,7 +18,7 @@ import time
 
 import numpy as np
 
-from repro.core.kernels import bounded_reach, connected_components
+from repro.core.kernels import all_h_degrees, bounded_reach, connected_components
 from repro.graphs.graph import Graph
 
 
@@ -57,17 +57,6 @@ def is_h_club(A: np.ndarray, mask: np.ndarray, h: int) -> bool:
     return _far_pair(A, mask, h) is None
 
 
-def _far_counts(A: np.ndarray, mask: np.ndarray, h: int) -> np.ndarray:
-    """Per-vertex count of >h-distant partners inside the induced subgraph."""
-    n = A.shape[0]
-    cnt = np.zeros(n, dtype=np.int64)
-    size = int(mask.sum())
-    for u in np.flatnonzero(mask):
-        reached, _ = bounded_reach(A, int(u), mask, h)
-        cnt[u] = size - 1 - int((reached & mask).sum())
-    return cnt
-
-
 def drop_heuristic(
     A: np.ndarray, mask: np.ndarray, h: int, max_iter: int | None = None
 ) -> np.ndarray:
@@ -80,7 +69,8 @@ def drop_heuristic(
     cur = mask.copy()
     iters = 0
     while int(cur.sum()) > 1:
-        cnt = _far_counts(A, cur, h)
+        # Far partners of each vertex = the rest of S minus its h-degree in G[S].
+        cnt = int(cur.sum()) - 1 - all_h_degrees(A, cur, h)
         cnt[~cur] = -1
         worst = int(np.argmax(cnt))
         if cnt[worst] <= 0:

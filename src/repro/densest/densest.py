@@ -12,13 +12,14 @@ from itertools import combinations
 import numpy as np
 
 from repro.core import h_lb_ub
-from repro.core.kernels import all_h_degrees
+from repro.core.kernels import all_h_degrees, check_h
 from repro.core.types import CoreResult
 from repro.graphs.graph import Graph
 
 
 def avg_h_degree(g: Graph, mask: np.ndarray, h: int) -> float:
     """f_h(S): average h-degree of the subgraph induced by ``mask``."""
+    check_h(h)
     size = int(mask.sum())
     if size == 0:
         return 0.0

@@ -51,15 +51,10 @@ def degree_stats_spark(spark, g: Graph) -> tuple[float, int]:
 
     Counting both edge directions per vertex gives the undirected degree.
     """
-    from repro.graphs.spark_graph import edges_to_df
+    from repro.graphs.spark_graph import degrees_df, edges_to_df
 
     edges = edges_to_df(spark, g)
-    row = (
-        edges.groupBy("src")
-        .count()
-        .agg({"count": "max"})
-        .collect()[0]
-    )
+    row = degrees_df(edges).agg({"degree": "max"}).collect()[0]
     max_deg = int(row[0]) if row[0] is not None else 0
     total = edges.count()  # = 2m
     avg = total / g.n if g.n else 0.0

@@ -74,36 +74,3 @@ def copurchase_graph(
     ).reshape(-1, 2)
     return Graph.from_edges(len(keys), edges), pairs
 
-
-def connected_components_df(spark: SparkSession, g: Graph) -> DataFrame:
-    """Connected components by iterative min-label propagation (DataFrames).
-
-    Each round every vertex adopts the minimum label in its closed
-    neighborhood; converges in O(diameter) rounds. Returns (v, component)
-    where component is the smallest vertex id in v's component.
-    """
-    edges = edges_to_df(spark, g)
-    labels = spark.createDataFrame(
-        pd.DataFrame({"v": np.arange(g.n, dtype=np.int64),
-                      "component": np.arange(g.n, dtype=np.int64)})
-    )
-    while True:
-        neigh = (
-            edges.join(labels, edges.dst == labels.v)
-            .select(edges.src.alias("v"), F.col("component"))
-        )
-        new_labels = (
-            labels.unionByName(neigh)
-            .groupBy("v")
-            .agg(F.min("component").alias("component"))
-        )
-        new_labels = new_labels.localCheckpoint()
-        changed = (
-            new_labels.alias("n")
-            .join(labels.alias("o"), F.col("n.v") == F.col("o.v"))
-            .where(F.col("n.component") != F.col("o.component"))
-            .count()
-        )
-        labels = new_labels
-        if changed == 0:
-            return labels

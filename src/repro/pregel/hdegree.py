@@ -1,58 +1,24 @@
 """Distributed h-degree computation.
 
-Two implementations of the same quantity deg^h_G(v):
-
-1. :func:`h_degrees_dataframe` — pure DataFrame/Catalyst Pregel-style
-   frontier expansion: (src, dst) reach pairs grow one hop per superstep
-   via a join, with already-reached pairs subtracted to keep the frontier
-   minimal. This is the vertex-centric dataflow analogue of an h-bounded
-   BFS and is oracle-checked against DuckDB SQL.
-
-2. :func:`h_degrees_spark` — mapInPandas fan-out of the NumPy BFS kernel
-   over a broadcast bit-packed adjacency matrix: the faithful reproduction
-   of the paper's §4.6 multithreading (one h-BFS batch per task), used by
-   the decomposition algorithms when a SparkSession is supplied.
+:func:`h_degrees_spark` is a mapInPandas fan-out of the NumPy BFS kernel over
+a broadcast bit-packed adjacency matrix: the faithful reproduction of the
+paper's §4.6 multithreading (one h-BFS batch per task), used by the
+decomposition algorithms when a SparkSession is supplied. It returns the
+same values as the driver's :func:`repro.core.kernels.all_h_degrees`
+(tested).
 """
 from __future__ import annotations
 
 from typing import Iterator
 
 import numpy as np
-import pandas as pd
-from pyspark.sql import DataFrame, SparkSession
-from pyspark.sql import functions as F
 
-from repro.core.kernels import bounded_reach, check_h
-from repro.graphs.graph import Graph, pack_adjacency, unpack_adjacency
-
-
-def h_degrees_dataframe(edges: DataFrame, h: int) -> DataFrame:
-    """deg^h for every non-isolated vertex, as a (v, hdeg) DataFrame.
-
-    Args:
-        edges: symmetric (src, dst) edge DataFrame.
-        h: distance threshold >= 1.
-    """
-    check_h(h)
-    reach = edges.select("src", "dst").distinct()
-    frontier = reach
-    for _ in range(h - 1):
-        expanded = (
-            frontier.alias("f")
-            .join(edges.alias("e"), F.col("f.dst") == F.col("e.src"))
-            .select(F.col("f.src").alias("src"), F.col("e.dst").alias("dst"))
-            .where(F.col("src") != F.col("dst"))
-            .distinct()
-        )
-        frontier = expanded.subtract(reach)
-        reach = reach.unionByName(frontier)
-    return reach.groupBy("src").agg(F.count("*").alias("hdeg")).withColumnRenamed(
-        "src", "v"
-    )
+from repro.core.kernels import bounded_reach
+from repro.graphs.graph import pack_adjacency, unpack_adjacency
 
 
 def h_degrees_spark(
-    spark: SparkSession,
+    spark,
     A: np.ndarray,
     alive: np.ndarray,
     h: int,
@@ -62,6 +28,8 @@ def h_degrees_spark(
     Returns ``(degrees, visits, bfs_calls)`` where visits/bfs_calls account
     the remote BFS work for the caller's Counter (paper's Table-3 metric).
     """
+    import pandas as pd
+
     n = A.shape[0]
     sc = spark.sparkContext
     b_adj = sc.broadcast(pack_adjacency(A))

@@ -50,13 +50,9 @@ PAPER_TABLE3 = {
 }
 
 
-def run(
-    fast: bool = False,
-    time_budget_s: float = 60.0,
-    datasets: list[str] | None = None,
-) -> pd.DataFrame:
+def run(fast: bool = False, time_budget_s: float = 60.0) -> pd.DataFrame:
     """Run the Table-3 sweep; one output row per (dataset, algorithm)."""
-    names = datasets or (["rnPA"] if fast else DATASETS)
+    names = ["rnPA"] if fast else DATASETS
     hs = [2] if fast else H_VALUES
     rows = []
     for name in names:

@@ -51,10 +51,7 @@ def run(fast: bool = False, time_budget_s: float = 60.0) -> pd.DataFrame:
         for h in hs:
             row: dict = {"dataset": name, "h": h}
             for label, fn in VARIANTS:
-                cell = run_with_budget(
-                    lambda g_, h_, counter: fn(g_, h_, counter),
-                    g, h, time_budget_s=time_budget_s,
-                )
+                cell = run_with_budget(fn, g, h, time_budget_s=time_budget_s)
                 row[label] = cell.runtime_s
                 row[f"{label} visits"] = cell.visits
             p = PAPER_TABLE5[name].get(h) if name in PAPER_TABLE5 else None

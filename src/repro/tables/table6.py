@@ -19,6 +19,7 @@ from repro.clubs import (
 )
 from repro.core import h_lb_ub
 from repro.graphs.datasets import load
+from repro.tables.common import NT
 
 DATASETS = ["FBco", "caHe", "amzn", "rnTX", "rnPA"]
 H_VALUES = [2, 3, 4]
@@ -42,8 +43,6 @@ PAPER_TABLE6 = {
              3: (21, "OM", 59539, 128.3, 6.8),
              4: (29, "OM", 8195.8, 11.5, 11.5)},
 }
-
-NT = "NT"
 
 
 def _timed(fn, *args, time_budget_s: float = 45.0, **kwargs) -> tuple[str | float, int]:

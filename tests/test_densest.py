@@ -33,6 +33,15 @@ def test_avg_h_degree_empty():
     assert avg_h_degree(g, np.zeros(5, dtype=bool), 2) == 0.0
 
 
+def test_rejects_h0():
+    """h = 0 has no h-degrees; it must not read as an all-zero density."""
+    g = erdos_renyi(6, 0.5, seed=0)
+    with pytest.raises(ValueError):
+        avg_h_degree(g, np.ones(6, dtype=bool), 0)
+    with pytest.raises(ValueError):
+        exact_densest_bruteforce(g, 0)
+
+
 def test_densest_prefers_dense_clump():
     # A K6 clump plus a long pendant path: the densest (avg 2-degree)
     # subgraph is the clump, not the whole graph.

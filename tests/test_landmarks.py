@@ -55,6 +55,13 @@ def test_select_landmarks_unknown_method():
         select_landmarks(g, "nope", ell=2)
 
 
+def test_select_landmarks_hdeg_rejects_h0():
+    """h = 0 gives every vertex h-degree 0; it must not pick ids 0..ell-1."""
+    g = erdos_renyi(10, 0.3, seed=0)
+    with pytest.raises(ValueError):
+        select_landmarks(g, "hdeg", ell=3, h=0)
+
+
 def test_estimate_error_zero_with_all_landmarks():
     """With every vertex a landmark, UB(s,t) <= d(s,u*)+d(u*,t) where u*=s
     gives exactly d(s,t); LB also reaches d(s,t) -> error 0."""

@@ -1,18 +1,10 @@
-"""Spark DataFrame graph layer: edge frames, co-purchase projection
-(oracle-checked), connected components by label propagation."""
+"""Spark DataFrame graph layer: edge frames and the co-purchase projection
+(oracle-checked)."""
 import numpy as np
-import pytest
 
 from repro import synth_data
-from repro.core.kernels import connected_components
-from repro.graphs.generators import erdos_renyi
 from repro.graphs.graph import Graph
-from repro.graphs.spark_graph import (
-    connected_components_df,
-    copurchase_graph,
-    edges_to_df,
-    edges_to_pandas,
-)
+from repro.graphs.spark_graph import copurchase_graph, edges_to_df
 from repro.oracle import assert_equivalent
 
 
@@ -52,21 +44,3 @@ def test_copurchase_min_threshold(spark):
     g2, _ = copurchase_graph(spark, li, min_copurchases=2, max_parts=120)
     assert g2.m <= g1.m
 
-
-def test_connected_components_df_matches_local(spark):
-    g = Graph.from_edges(
-        9, np.array([[0, 1], [1, 2], [3, 4], [5, 6], [6, 7], [7, 5]])
-    )
-    got = {r.v: r.component for r in connected_components_df(spark, g).collect()}
-    expect = connected_components(g.adjacency, np.ones(g.n, dtype=bool))
-    assert len(got) == g.n
-    for v in range(g.n):
-        assert got[v] == expect[v]
-
-
-def test_connected_components_df_random(spark):
-    g = erdos_renyi(25, 0.08, seed=11)
-    got = {r.v: r.component for r in connected_components_df(spark, g).collect()}
-    expect = connected_components(g.adjacency, np.ones(g.n, dtype=bool))
-    for v in range(g.n):
-        assert got[v] == expect[v]
