@@ -1,10 +1,12 @@
-"""h-BFS kernel microbenchmark: µs per BFS on each adjacency substrate.
+"""h-BFS kernel microbenchmark: µs per BFS and ns per visit on each substrate.
 
 One round runs ``bounded_reach`` from every vertex of the graph with every
-vertex alive. rnPA h=4 (mean degree 3) and FBco h=2 (mean degree 34) sit on
-either side of ``repro.core.kernels.substrate``'s density rule, so the two
-records per graph show which kernel wins there and by how much. Each record
-carries ``us_per_bfs`` (best round) and ``visits`` in ``extra_info``.
+vertex alive. rnPA h=4 (mean degree 3) sits below
+``repro.core.kernels.substrate``'s density rule, FBco h=2 (mean degree 34)
+and caHe h=2 (mean degree 20, the other dense-collab graph of khbench) above
+it, so the two records per graph show which kernel wins there and by how
+much. Each record carries ``us_per_bfs`` and ``ns_per_visit`` (best round)
+and ``visits`` in ``extra_info``.
 
     pytest benchmarks/bench_kernels.py --benchmark-only
 """
@@ -15,7 +17,7 @@ from repro.core.kernels import Counter, bounded_reach
 
 
 @pytest.mark.parametrize("kernel", ["dense", "lists"])
-@pytest.mark.parametrize("graph,h", [("rnpa", 4), ("fbco", 2)])
+@pytest.mark.parametrize("graph,h", [("rnpa", 4), ("fbco", 2), ("cahe", 2)])
 def test_bench_kernel_us_per_bfs(benchmark, request, graph, h, kernel):
     g = request.getfixturevalue(graph)
     A = g.adjacency if kernel == "dense" else g.adjacency_lists
@@ -31,4 +33,6 @@ def test_bench_kernel_us_per_bfs(benchmark, request, graph, h, kernel):
     assert c.bfs_calls == g.n
     benchmark.extra_info["visits"] = c.visits
     if benchmark.stats is not None:  # None under --benchmark-disable
-        benchmark.extra_info["us_per_bfs"] = benchmark.stats.stats.min / g.n * 1e6
+        best = benchmark.stats.stats.min
+        benchmark.extra_info["us_per_bfs"] = best / g.n * 1e6
+        benchmark.extra_info["ns_per_visit"] = best / c.visits * 1e9

@@ -27,3 +27,8 @@ def rnpa():
 @pytest.fixture(scope="session")
 def fbco():
     return load("FBco")
+
+
+@pytest.fixture(scope="session")
+def cahe():
+    return load("caHe")

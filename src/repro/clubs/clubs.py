@@ -130,7 +130,7 @@ def _kernelize(
     for v in ids:
         reached, _ = bounded_reach(A, int(v), S, h)
         neigh[int(v)] = reached
-        degs[v] = int(reached.sum())
+        degs[v] = np.count_nonzero(reached)
     stack = [int(v) for v in ids if degs[v] < lower]
     queued = set(stack)
     while stack:
@@ -253,7 +253,7 @@ def max_h_club_itdbc(
     for v in ids:
         reached, _ = bounded_reach(A, int(v), full, h)
         neigh[int(v)] = reached
-        hdeg[v] = int(reached.sum())
+        hdeg[v] = np.count_nonzero(reached)
     order = ids[np.argsort(-hdeg[ids])]
     budget = [node_budget]
     for v in order:

@@ -69,7 +69,7 @@ def core_decomp(
             v = bk.pop(k)
             if setlb[v]:
                 reached, _ = bounded_reach(A, v, alive, h, counter)
-                d = int(reached.sum())
+                d = np.count_nonzero(reached)
                 deg[v] = d
                 # The paper re-buckets at B[deg]; deg >= k is guaranteed when
                 # the bound is valid, max() keeps the sweep forward-only even
@@ -95,6 +95,6 @@ def core_decomp(
             # Recomputations read only ``alive``, so they may all run before
             # the moves; the moves keep ascending vertex order.
             for u in redo.tolist():
-                deg[u] = int(bounded_reach(A, u, alive, h, counter)[0].sum())
+                deg[u] = np.count_nonzero(bounded_reach(A, u, alive, h, counter)[0])
             for u, d in zip(ids.tolist(), deg[ids].tolist()):
                 bk.move(u, max(d, k))

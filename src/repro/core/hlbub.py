@@ -87,19 +87,19 @@ def improve_lb(
     lb3[ids] = np.maximum(lb2[ids], min_deg)
     stack = [int(v) for v in ids if degs[v] < kmin]
     queued = np.zeros(n, dtype=bool)
-    queued[[v for v in stack]] = True
+    queued[stack] = True
     while stack:
         v = stack.pop()
         if not vk[v]:
             continue
         vk[v] = False
+        # reached ⊆ vk, so no vk test is needed; new ids go on the stack in
+        # ascending order, which fixes the removal order (and the visits).
         reached, _ = bounded_reach(A, v, vk, h, counter)
-        for u in np.flatnonzero(reached):
-            u = int(u)
-            degs[u] -= 1
-            if degs[u] < kmin and vk[u] and not queued[u]:
-                queued[u] = True
-                stack.append(u)
+        degs[reached] -= 1
+        new = np.flatnonzero(reached & (degs < kmin) & ~queued)
+        queued[new] = True
+        stack.extend(new.tolist())
     return vk, lb3, degs
 
 

@@ -22,11 +22,15 @@ import numpy as np
 
 from repro.graphs.graph import Graph
 
-# Fill ratio 2m/n² of the n x n matrix at or below which the list kernel beats
-# the dense row scan. A row scan costs O(n) per frontier vertex and a list walk
-# O(degree), so the crossover is at a fixed mean degree / n, not a fixed mean
-# degree. Measured on the dataset analogues: lists win on every one at 0.75%
-# fill (coli) or less and lose on every one at 1.53% (caAs) or more.
+# Fill ratio 2m/n² of the n x n matrix at or below which the h-BFS walks
+# neighbour lists instead of the dense matrix. A row scan costs O(n) per
+# frontier vertex and a list walk O(degree), so the crossover is at a fixed
+# mean degree / n, not a fixed mean degree. Whole-graph sweeps at h=2 (min of
+# 15 rounds; DESIGN.md has the table): the dense kernel wins on every analogue
+# at 1.53% fill (caAs) or more, lists win on amzn, rnPA and rnTX (fill 0.21% or
+# less), and at 0.26-0.75% fill (hyves, doub, sytb, lj, coli) the dense kernel
+# is as fast or up to 1.9x faster. The threshold stays at 1% because the list
+# substrate keeps memory at O(n + m).
 LISTS_MAX_FILL = 0.01
 
 Adjacency = np.ndarray | list[list[int]]
@@ -105,7 +109,8 @@ def bounded_reach(
         v: source vertex (its own ``alive`` flag is irrelevant: it is the
            source, never an intermediate of its own shortest paths).
         alive: boolean mask of vertices that may be reached / traversed.
-        h: distance threshold (h >= 0).
+        h: distance threshold (h >= 0). h = 0 is the empty reach: both
+           masks are empty and the call charges 0 visits and one BFS call.
         counter: optional instrumentation.
 
     Returns:
@@ -123,16 +128,21 @@ def bounded_reach(
         if counter is not None:
             counter.charge(0)
         return empty, empty.copy()
+    # Count with count_nonzero, a byte test: a boolean .sum() widens every
+    # element to int64 first and costs about twice as much per visit.
     frontier = A[v] & alive
     frontier[v] = False
-    visits = int(frontier.sum())
+    visits = np.count_nonzero(frontier)
     reached = frontier.copy()
     level = 1
-    while level < h and frontier.any():
-        rows = A[np.flatnonzero(frontier)]
-        scan = rows & alive
-        visits += int(scan.sum())
-        nxt = scan.any(axis=0)
+    while level < h:
+        ids = frontier.nonzero()[0]
+        if not len(ids):
+            break
+        scan = A[ids]
+        scan &= alive
+        visits += np.count_nonzero(scan)
+        nxt = np.logical_or.reduce(scan, axis=0)
         nxt &= ~reached
         nxt[v] = False
         reached |= nxt
@@ -194,14 +204,15 @@ def all_h_degrees(
     """h-degrees of every alive vertex.
 
     Returns a full-length int64 array; entries for dead vertices are 0.
-    This is the batch the paper parallelizes in §4.6 — the Spark fan-out
-    lives in :mod:`repro.pregel.hdegree` and produces identical values
-    (tested).
+    For h = 0 every entry is 0, and each alive vertex still costs one BFS
+    call of 0 visits (see :func:`bounded_reach`). This is the batch the
+    paper parallelizes in §4.6 — the Spark fan-out lives in
+    :mod:`repro.pregel.hdegree` and produces identical values (tested).
     """
     n = len(A)
     out = np.zeros(n, dtype=np.int64)
     for v in np.flatnonzero(alive):
-        out[v] = bounded_reach(A, int(v), alive, h, counter)[0].sum()
+        out[v] = np.count_nonzero(bounded_reach(A, int(v), alive, h, counter)[0])
     return out
 
 

@@ -54,7 +54,7 @@ def h_degrees_spark(
             for i, v in enumerate(vs):
                 c = Counter()
                 reached, _ = bounded_reach(A_task, int(v), alive_task, h, c)
-                degs[i] = int(reached.sum())
+                degs[i] = np.count_nonzero(reached)
                 visits[i] = c.visits
             yield pd.DataFrame({"v": vs, "hdeg": degs, "visits": visits})
 

@@ -46,6 +46,55 @@ def test_substrates_agree(label, g):
             assert (cd.visits, cd.bfs_calls) == (cl.visits, cl.bfs_calls), h
 
 
+def _expected_visits(A, v, alive, h):
+    """The paper's visit count, derived from distances instead of a BFS.
+
+    An h-BFS from ``v`` expands every vertex at distance 0..h-1 and scans its
+    alive neighbours. Distances are taken in the subgraph induced by the alive
+    vertices plus ``v``: a dead source still starts its own BFS.
+    """
+    with_v = alive.copy()
+    with_v[v] = True
+    d = distance_matrix(A, with_v)[v]
+    expanded = (d >= 0) & (d < h)
+    return int((A[expanded] & alive).sum()), (d >= 1) & (d <= h), d == h
+
+
+@pytest.mark.parametrize("label,g", list(_agreement_graphs())[::3])
+def test_visits_match_distance_definition(label, g):
+    """Both kernels charge the visits that distances predict, on random alive
+    masks with dead sources, and return the distance-defined masks."""
+    dense, lists = g.adjacency, g.adjacency_lists
+    rng = np.random.default_rng(g.n)
+    for alive in [np.ones(g.n, dtype=bool)] + [rng.random(g.n) < p for p in (0.8, 0.5)]:
+        for h in range(1, 6):
+            for v in range(g.n):
+                visits, reach, exact = _expected_visits(dense, v, alive, h)
+                for A in (dense, lists):
+                    c = Counter()
+                    reached, at_h = bounded_reach(A, v, alive, h, c)
+                    assert (c.visits, c.bfs_calls) == (visits, 1), (kernel_name(A), v, h)
+                    assert np.array_equal(reached, reach), (kernel_name(A), v, h)
+                    assert np.array_equal(at_h, exact), (kernel_name(A), v, h)
+
+
+@pytest.mark.parametrize("kernel", ["dense", "lists"])
+def test_h_zero_is_the_empty_reach(kernel):
+    """h = 0: empty masks, 0 visits and one BFS call per source, alive or not."""
+    g = small_graph("er", 0)
+    A = g.adjacency if kernel == "dense" else g.adjacency_lists
+    alive = np.random.default_rng(0).random(g.n) < 0.7
+    c = Counter()
+    for v in range(g.n):
+        reached, at_h = bounded_reach(A, v, alive, 0, c)
+        assert reached.shape == at_h.shape == (g.n,)
+        assert not reached.any() and not at_h.any()
+    assert (c.visits, c.bfs_calls) == (0, g.n)
+    c = Counter()
+    assert np.array_equal(all_h_degrees(A, alive, 0, c), np.zeros(g.n))
+    assert (c.visits, c.bfs_calls) == (0, int(alive.sum()))
+
+
 def test_substrate_chosen_by_fill_ratio():
     path = Graph.from_edges(300, np.array([[v, v + 1] for v in range(299)]))
     assert kernel_name(substrate(path)) == "lists"  # 2m/n² = 0.66%
