@@ -32,3 +32,13 @@ def fbco():
 @pytest.fixture(scope="session")
 def cahe():
     return load("caHe")
+
+
+@pytest.fixture(scope="session")
+def amzn():
+    return load("amzn")
+
+
+@pytest.fixture(scope="session")
+def hyves():
+    return load("hyves")

@@ -23,14 +23,15 @@ import numpy as np
 from repro.graphs.graph import Graph
 
 # Fill ratio 2m/n² of the n x n matrix at or below which the h-BFS walks
-# neighbour lists instead of the dense matrix. A row scan costs O(n) per
-# frontier vertex and a list walk O(degree), so the crossover is at a fixed
-# mean degree / n, not a fixed mean degree. Whole-graph sweeps at h=2 (min of
-# 15 rounds; DESIGN.md has the table): the dense kernel wins on every analogue
-# at 1.53% fill (caAs) or more, lists win on amzn, rnPA and rnTX (fill 0.21% or
-# less), and at 0.26-0.75% fill (hyves, doub, sytb, lj, coli) the dense kernel
-# is as fast or up to 1.9x faster. The threshold stays at 1% because the list
-# substrate keeps memory at O(n + m).
+# neighbour lists instead of the dense matrix. A list walk costs O(degree)
+# per frontier vertex; a row scan costs O(n) per frontier vertex on top of a
+# fixed NumPy overhead per BFS. Whole-graph sweeps at h=2 (min of 45 rounds,
+# both substrates interleaved; DESIGN.md has the table): the dense kernel is
+# 1.6-10x faster on every analogue at 1.53% fill (caAs) or more, and lists
+# are 1.3-3x faster on every analogue at or below 1% fill (coli, sytb, doub,
+# hyves, amzn, rnPA, rnTX) except lj (0.53%), where the dense kernel is 1.2x
+# faster. The rule thus picks the faster kernel on 12 of the 13 analogues,
+# and the list substrate keeps memory at O(n + m).
 LISTS_MAX_FILL = 0.01
 
 Adjacency = np.ndarray | list[list[int]]
@@ -166,33 +167,40 @@ def _reach_lists(
     Charges exactly what the dense kernel charges: one visit per alive
     neighbour of every vertex it expands (the source, then each frontier
     short of distance h), counting the source too whenever it is alive.
+    Reached vertices are marked in a per-call ``bytearray`` that the
+    returned mask views without a copy: a byte test and a byte write per
+    visit. ``at_h`` is a second ``bytearray``, marked while the last level
+    is expanded; for h = 0 nothing is expanded and both masks stay empty.
+    Each call allocates its own buffers, so every result is a fresh,
+    writable array (callers write into them).
     """
     live = memoryview(alive)
-    seen = {v}
+    n = len(adj)
+    mark = bytearray(n)
+    mark[v] = 1
     frontier = [v]
     visits = 0
     level = 0
+    last = bytearray(n)
     while level < h and frontier:
         nxt = []
+        final = level == h - 1
         for u in frontier:
             for w in adj[u]:
                 if live[w]:
                     visits += 1
-                    if w not in seen:
-                        seen.add(w)
-                        nxt.append(w)
+                    if not mark[w]:
+                        mark[w] = 1
+                        if final:
+                            last[w] = 1
+                        else:
+                            nxt.append(w)
         frontier = nxt
         level += 1
     if counter is not None:
         counter.charge(visits)
-    n = len(adj)
-    seen.discard(v)
-    reached = np.zeros(n, dtype=bool)
-    reached[np.fromiter(seen, np.intp, len(seen))] = True
-    at_h = np.zeros(n, dtype=bool)
-    if h > 0 and level == h:
-        at_h[frontier] = True
-    return reached, at_h
+    mark[v] = 0
+    return np.frombuffer(mark, bool), np.frombuffer(last, bool)
 
 
 def all_h_degrees(

@@ -12,7 +12,7 @@ from itertools import combinations
 import numpy as np
 
 from repro.core import h_lb_ub
-from repro.core.kernels import all_h_degrees, check_h
+from repro.core.kernels import all_h_degrees, check_h, substrate
 from repro.core.types import CoreResult
 from repro.graphs.graph import Graph
 
@@ -23,7 +23,7 @@ def avg_h_degree(g: Graph, mask: np.ndarray, h: int) -> float:
     size = int(mask.sum())
     if size == 0:
         return 0.0
-    degs = all_h_degrees(g.adjacency, mask, h)
+    degs = all_h_degrees(substrate(g), mask, h)
     return float(degs[mask].sum()) / size
 
 

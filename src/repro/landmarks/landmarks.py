@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.core.kernels import all_h_degrees, check_h, distance_matrix
+from repro.core.kernels import all_h_degrees, check_h, distance_matrix, substrate
 from repro.graphs.graph import Graph
 
 
@@ -99,7 +99,7 @@ def select_landmarks(
         return np.argsort(-betweenness_centrality(g))[:ell]
     if method == "hdeg":
         check_h(h)
-        degs = all_h_degrees(g.adjacency, np.ones(g.n, dtype=bool), h)
+        degs = all_h_degrees(substrate(g), np.ones(g.n, dtype=bool), h)
         return np.argsort(-degs)[:ell]
     raise ValueError(f"unknown landmark method {method!r}")
 

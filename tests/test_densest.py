@@ -2,12 +2,14 @@
 import numpy as np
 import pytest
 
+from repro.core.kernels import all_h_degrees
 from repro.densest.densest import (
     approximation_floor,
     avg_h_degree,
     core_based_densest,
     exact_densest_bruteforce,
 )
+from repro.graphs.datasets import load
 from repro.graphs.generators import erdos_renyi
 from repro.graphs.graph import Graph
 
@@ -64,3 +66,16 @@ def test_h1_matches_classic_densest_shape():
 def test_bruteforce_rejects_large():
     with pytest.raises(ValueError):
         exact_densest_bruteforce(erdos_renyi(20, 0.2, seed=0), 2)
+
+
+@pytest.mark.parametrize("h", [1, 2, 3])
+def test_avg_h_degree_sparse_stays_off_the_matrix(h):
+    """On a sparse graph f_h runs on the neighbour lists, equals the dense
+    matrix's value, and never builds the n x n matrix."""
+    coli = load("coli")
+    g = Graph.from_edges(coli.n, coli.edges)
+    rng = np.random.default_rng(h)
+    for mask in (np.ones(g.n, dtype=bool), rng.random(g.n) < 0.7):
+        degs = all_h_degrees(coli.adjacency, mask, h)  # coli's own matrix
+        assert avg_h_degree(g, mask, h) == float(degs[mask].sum()) / int(mask.sum())
+    assert g._adj is None

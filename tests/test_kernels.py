@@ -95,6 +95,34 @@ def test_h_zero_is_the_empty_reach(kernel):
     assert (c.visits, c.bfs_calls) == (0, int(alive.sum()))
 
 
+@pytest.mark.parametrize("kernel", ["dense", "lists"])
+def test_every_call_returns_fresh_masks(kernel):
+    """Each call returns new writable (n,) boolean masks that share no memory
+    with the last call's, so a caller may write into a result (decomp's
+    ``reached & ~setlb`` and friends) without corrupting the next one; and
+    ``alive`` is left untouched."""
+    g = small_graph("ba", 1)
+    A = g.adjacency if kernel == "dense" else g.adjacency_lists
+    alive = np.random.default_rng(1).random(g.n) < 0.8
+    before = alive.copy()
+    for h in range(5):
+        prev = None
+        for v in range(g.n):
+            masks = bounded_reach(A, v, alive, h)
+            for m in masks:
+                assert m.dtype == bool and m.shape == (g.n,) and m.flags.writeable
+            assert not np.shares_memory(*masks)
+            if prev is not None:
+                assert not any(np.shares_memory(m, p) for m in masks for p in prev)
+            expect = [m.copy() for m in masks]
+            for m in masks:
+                m[:] = ~m
+            again = bounded_reach(A, v, alive, h)
+            assert all(np.array_equal(m, e) for m, e in zip(again, expect)), (v, h)
+            prev = again
+    assert np.array_equal(alive, before)
+
+
 def test_substrate_chosen_by_fill_ratio():
     path = Graph.from_edges(300, np.array([[v, v + 1] for v in range(299)]))
     assert kernel_name(substrate(path)) == "lists"  # 2m/n² = 0.66%

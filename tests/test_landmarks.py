@@ -2,7 +2,8 @@
 import numpy as np
 import pytest
 
-from repro.core.kernels import distance_matrix
+from repro.core.kernels import all_h_degrees, distance_matrix
+from repro.graphs.datasets import load
 from repro.graphs.generators import barabasi_albert, erdos_renyi
 from repro.graphs.graph import Graph
 from repro.landmarks import (
@@ -93,3 +94,15 @@ def test_fewer_core_vertices_than_ell_falls_back():
     g = Graph.from_edges(6, np.array([[0, 1], [1, 2], [2, 0], [3, 4]]))
     lm = select_landmarks(g, "core", ell=5, h=2, seed=0)
     assert len(lm) == 5
+
+
+@pytest.mark.parametrize("h", [1, 2, 3])
+def test_hdeg_landmarks_sparse_stay_off_the_matrix(h):
+    """On a sparse graph "hdeg" ranks h-degrees from the neighbour lists,
+    picks what the dense matrix picks, and never builds the n x n matrix."""
+    coli = load("coli")
+    g = Graph.from_edges(coli.n, coli.edges)
+    degs = all_h_degrees(coli.adjacency, np.ones(coli.n, dtype=bool), h)
+    lm = select_landmarks(g, "hdeg", ell=10, h=h)
+    assert np.array_equal(lm, np.argsort(-degs)[:10])
+    assert g._adj is None
