@@ -1,41 +1,69 @@
 """h-BFS kernel microbenchmark: µs per BFS and ns per visit on each substrate.
 
-One round runs ``bounded_reach`` from every vertex of the graph with every
-vertex alive. rnPA h=4 (mean degree 3), amzn h=2 (mean degree 4) and hyves
-h=2 (mean degree 4) are the three graphs of khbench's sparse-road workload
-and sit below ``repro.core.kernels.substrate``'s density rule; FBco h=2
-(mean degree 34) and caHe h=2 (mean degree 16), the dense-collab graphs,
-sit above it. The two records per graph show which kernel wins there and by
-how much. Each record carries ``us_per_bfs`` and ``ns_per_visit`` (best
-round) and ``visits`` in ``extra_info``.
+A sweep runs ``bounded_reach`` from every vertex of the graph with every
+vertex alive. Each round sweeps both substrates, the dense matrix and the
+neighbour lists, one after the other, and alternates which goes first, so
+that both see the same host load; a run has ``ROUNDS`` rounds. rnPA h=4
+(mean degree 3), amzn h=2 (mean degree 4) and hyves h=2 (mean degree 4) are
+the three graphs of khbench's sparse-road workload and sit below
+``repro.core.kernels.substrate``'s density rule; FBco h=2 (mean degree 34)
+and caHe h=2 (mean degree 16), the dense-collab graphs, sit above it. The
+record per graph shows which kernel wins there and by how much: its
+``extra_info`` holds ``dense`` and ``lists`` entries with ``us_per_bfs``
+and ``ns_per_visit`` (best round each), ``dense_over_lists`` (the median
+over rounds of the dense sweep's time ÷ the lists sweep's time; above 1
+means lists win) and ``visits`` (per sweep, equal on both substrates).
 
     pytest benchmarks/bench_kernels.py --benchmark-only
 """
+import time
+
 import numpy as np
 import pytest
 
 from repro.core.kernels import Counter, bounded_reach
 
+ROUNDS = 15
 
-@pytest.mark.parametrize("kernel", ["dense", "lists"])
+
 @pytest.mark.parametrize(
     "graph,h", [("rnpa", 4), ("amzn", 2), ("hyves", 2), ("fbco", 2), ("cahe", 2)]
 )
-def test_bench_kernel_us_per_bfs(benchmark, request, graph, h, kernel):
+def test_bench_kernel_us_per_bfs(benchmark, request, graph, h):
     g = request.getfixturevalue(graph)
-    A = g.adjacency if kernel == "dense" else g.adjacency_lists
+    substrates = {"dense": g.adjacency, "lists": g.adjacency_lists}
     alive = np.ones(g.n, dtype=bool)
+    times: dict[str, list[float]] = {kernel: [] for kernel in substrates}
+    counters: dict[str, Counter] = {}
 
-    def sweep():
-        c = Counter()
+    def sweep(kernel):
+        A, c = substrates[kernel], Counter()
+        t0 = time.perf_counter()
         for v in range(g.n):
             bounded_reach(A, v, alive, h, c)
-        return c
+        times[kernel].append(time.perf_counter() - t0)
+        counters[kernel] = c
 
-    c = benchmark.pedantic(sweep, rounds=5, iterations=1, warmup_rounds=1)
-    assert c.bfs_calls == g.n
-    benchmark.extra_info["visits"] = c.visits
-    if benchmark.stats is not None:  # None under --benchmark-disable
-        best = benchmark.stats.stats.min
-        benchmark.extra_info["us_per_bfs"] = best / g.n * 1e6
-        benchmark.extra_info["ns_per_visit"] = best / c.visits * 1e9
+    def interleaved_round():
+        order = list(substrates)
+        if len(times["dense"]) % 2:
+            order.reverse()
+        for kernel in order:
+            sweep(kernel)
+
+    interleaved_round()  # warm-up, discarded
+    for ts in times.values():
+        ts.clear()
+    benchmark.pedantic(interleaved_round, rounds=ROUNDS, iterations=1)
+    visits = counters["dense"].visits
+    assert counters["lists"].visits == visits
+    assert counters["dense"].bfs_calls == counters["lists"].bfs_calls == g.n
+    benchmark.extra_info["visits"] = visits
+    for kernel, ts in times.items():
+        best = min(ts)
+        benchmark.extra_info[kernel] = {
+            "us_per_bfs": best / g.n * 1e6,
+            "ns_per_visit": best / visits * 1e9,
+        }
+    ratios = np.array(times["dense"]) / np.array(times["lists"])
+    benchmark.extra_info["dense_over_lists"] = float(np.median(ratios))

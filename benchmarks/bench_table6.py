@@ -9,7 +9,7 @@ from repro.core import h_lb_ub
 
 def test_bench_table6_dbc_direct(benchmark, rnpa):
     club = benchmark.pedantic(
-        lambda: max_h_club_dbc(rnpa, 2, node_budget=100_000),
+        lambda: max_h_club_dbc(rnpa, 2),
         rounds=2, iterations=1,
     )
     assert club.any()
@@ -17,7 +17,7 @@ def test_bench_table6_dbc_direct(benchmark, rnpa):
 
 def test_bench_table6_itdbc_direct(benchmark, rnpa):
     club = benchmark.pedantic(
-        lambda: max_h_club_itdbc(rnpa, 2, node_budget=100_000),
+        lambda: max_h_club_itdbc(rnpa, 2),
         rounds=2, iterations=1,
     )
     assert club.any()
@@ -26,9 +26,7 @@ def test_bench_table6_itdbc_direct(benchmark, rnpa):
 def test_bench_table6_alg7(benchmark, rnpa):
     dec = h_lb_ub(rnpa, 2)
     club = benchmark.pedantic(
-        lambda: max_h_club_with_cores(
-            rnpa, 2, max_h_club_dbc, decomposition=dec, node_budget=100_000
-        ),
+        lambda: max_h_club_with_cores(rnpa, 2, max_h_club_dbc, decomposition=dec),
         rounds=2, iterations=1,
     )
     assert club.any()

@@ -1,6 +1,6 @@
 """Maximum h-club: exact solvers + the paper's Algorithm 7 core wrapper."""
 from repro.clubs.clubs import (
-    NodeBudgetExceeded,
+    ClubBudgetExceeded,
     drop_heuristic,
     is_h_club,
     max_h_club_dbc,
@@ -16,5 +16,5 @@ __all__ = [
     "max_h_club_itdbc",
     "max_h_club_with_cores",
     "star_incumbent",
-    "NodeBudgetExceeded",
+    "ClubBudgetExceeded",
 ]

@@ -7,31 +7,44 @@ d_{G[S]}(u, w) > h, any h-club inside S excludes u or w — branch on the two
 exclusions. When no far pair remains, S itself is an h-club.
 
 ``max_h_club_dbc`` runs that B&B on each whole connected component — like
-DBC's single monolithic IP, it blows up on large sparse graphs (reproduced
-via a node budget -> NodeBudgetExceeded, the analogue of the paper's OM/NT
-cells). ``max_h_club_itdbc`` decomposes per vertex neighborhood with
-incumbent pruning — like ITDBC it survives large graphs. Both are exact.
+DBC's single monolithic IP, it blows up on large sparse graphs.
+``max_h_club_itdbc`` decomposes per vertex neighborhood with incumbent
+pruning — like ITDBC it survives large graphs. Both are exact.
+
+Every h-BFS a solver runs is charged to the caller's :class:`Counter`, the
+same visit budget and deadline the decompositions run under. When it runs
+out, the solver raises :class:`ClubBudgetExceeded` carrying the best club
+found so far: the analogue of the paper's OM/NT cells.
 """
 from __future__ import annotations
 
-import time
-
 import numpy as np
 
-from repro.core.kernels import all_h_degrees, bounded_reach, connected_components
+from repro.core.kernels import (
+    BudgetExceeded,
+    Counter,
+    all_h_degrees,
+    bounded_reach,
+    connected_components,
+)
 from repro.graphs.graph import Graph
 
 
-class NodeBudgetExceeded(RuntimeError):
-    """B&B exceeded its node budget (reproduces the paper's NT/OM cells)."""
+class ClubBudgetExceeded(BudgetExceeded):
+    """The counter's budget ran out mid-search; ``incumbent`` is the best
+    h-club found so far (reproduces the paper's NT/OM cells)."""
 
     def __init__(self, incumbent: np.ndarray):
-        super().__init__("branch-and-bound node budget exceeded")
+        super().__init__("h-club search budget exceeded")
         self.incumbent = incumbent
 
 
 def _far_pair(
-    A: np.ndarray, S: np.ndarray, h: int, degs: np.ndarray | None = None
+    A: np.ndarray,
+    S: np.ndarray,
+    h: int,
+    degs: np.ndarray | None = None,
+    counter: Counter | None = None,
 ) -> tuple[int, int] | None:
     """Some pair u,w in S with d_{G[S]}(u,w) > h, or None (=> h-club).
 
@@ -42,7 +55,7 @@ def _far_pair(
     if degs is not None:
         ids = ids[np.argsort(degs[ids])]
     for u in ids:
-        reached, _ = bounded_reach(A, int(u), S, h)
+        reached, _ = bounded_reach(A, int(u), S, h, counter)
         missing = S & ~reached
         missing[u] = False
         if missing.any():
@@ -58,7 +71,11 @@ def is_h_club(A: np.ndarray, mask: np.ndarray, h: int) -> bool:
 
 
 def drop_heuristic(
-    A: np.ndarray, mask: np.ndarray, h: int, max_iter: int | None = None
+    A: np.ndarray,
+    mask: np.ndarray,
+    h: int,
+    max_iter: int | None = None,
+    counter: Counter | None = None,
 ) -> np.ndarray:
     """Feasible h-club by repeatedly dropping the vertex with most far pairs.
 
@@ -70,7 +87,7 @@ def drop_heuristic(
     iters = 0
     while int(cur.sum()) > 1:
         # Far partners of each vertex = the rest of S minus its h-degree in G[S].
-        cnt = int(cur.sum()) - 1 - all_h_degrees(A, cur, h)
+        cnt = int(cur.sum()) - 1 - all_h_degrees(A, cur, h, counter)
         cnt[~cur] = -1
         worst = int(np.argmax(cnt))
         if cnt[worst] <= 0:
@@ -110,7 +127,7 @@ def star_incumbent(A: np.ndarray, mask: np.ndarray, h: int) -> np.ndarray:
 
 
 def _kernelize(
-    A: np.ndarray, S: np.ndarray, h: int, lower: int
+    A: np.ndarray, S: np.ndarray, h: int, lower: int, counter: Counter | None
 ) -> tuple[np.ndarray, np.ndarray]:
     """Peel S down to vertices that could belong to a club larger than the
     incumbent (Theorem-3-style pruning, applied at every B&B node).
@@ -128,7 +145,7 @@ def _kernelize(
     ids = np.flatnonzero(S)
     neigh: dict[int, np.ndarray] = {}
     for v in ids:
-        reached, _ = bounded_reach(A, int(v), S, h)
+        reached, _ = bounded_reach(A, int(v), S, h, counter)
         neigh[int(v)] = reached
         degs[v] = np.count_nonzero(reached)
     stack = [int(v) for v in ids if degs[v] < lower]
@@ -152,31 +169,24 @@ def _bnb(
     start: np.ndarray,
     h: int,
     best: np.ndarray,
-    budget: list[int],
-    deadline: float | None = None,
-) -> np.ndarray:
+    counter: Counter | None,
+) -> None:
     """Depth-first far-pair branch-and-bound with per-node kernelization.
 
-    ``budget`` is a single-element mutable node counter shared across calls;
-    raising NodeBudgetExceeded carries the incumbent for NT reporting.
-    ``deadline`` (absolute ``time.monotonic()``) is the wall-clock analogue.
+    Writes each larger club it finds into ``best`` in place, so the caller
+    holds the incumbent when ``counter`` runs out mid-search.
     """
     stack = [start]
     while stack:
         S = stack.pop()
         if int(S.sum()) <= int(best.sum()):
             continue  # cannot beat the incumbent
-        budget[0] -= 1
-        if budget[0] < 0:
-            raise NodeBudgetExceeded(best)
-        if deadline is not None and time.monotonic() > deadline:
-            raise NodeBudgetExceeded(best)
-        S, degs = _kernelize(A, S, h, lower=int(best.sum()))
+        S, degs = _kernelize(A, S, h, int(best.sum()), counter)
         if int(S.sum()) <= int(best.sum()):
             continue
-        pair = _far_pair(A, S, h, degs)
+        pair = _far_pair(A, S, h, degs, counter)
         if pair is None:
-            best = S
+            best[:] = S
             continue
         u, w = pair
         s1 = S.copy()
@@ -185,21 +195,20 @@ def _bnb(
         s2[w] = False
         stack.append(s1)
         stack.append(s2)
-    return best
 
 
 def max_h_club_dbc(
     g: Graph,
     h: int,
     mask: np.ndarray | None = None,
-    node_budget: int = 2_000_000,
     incumbent: np.ndarray | None = None,
-    deadline: float | None = None,
+    counter: Counter | None = None,
 ) -> np.ndarray:
     """Exact maximum h-club by whole-component branch-and-bound (DBC analogue).
 
     Returns the boolean membership mask of a maximum h-club within ``mask``
-    (default: the full graph). Raises NodeBudgetExceeded on blow-up.
+    (default: the full graph). Raises :class:`ClubBudgetExceeded` when
+    ``counter`` runs out.
     """
     A = g.adjacency
     full = np.ones(g.n, dtype=bool) if mask is None else mask.copy()
@@ -207,21 +216,23 @@ def max_h_club_dbc(
     if not best.any() and full.any():
         best = np.zeros(g.n, dtype=bool)
         best[int(np.flatnonzero(full)[0])] = True
-    budget = [node_budget]
     labels = connected_components(A, full)
     comps = [labels == r for r in np.unique(labels[full])]
     comps.sort(key=lambda c: -int(c.sum()))
-    for comp in comps:
-        if int(comp.sum()) <= int(best.sum()):
-            break
-        seed = star_incumbent(A, comp, h)
-        if int(seed.sum()) > int(best.sum()):
-            best = seed
-        if int(comp.sum()) <= 64:
-            seed = drop_heuristic(A, comp, h, max_iter=64)
+    try:
+        for comp in comps:
+            if int(comp.sum()) <= int(best.sum()):
+                break
+            seed = star_incumbent(A, comp, h)
             if int(seed.sum()) > int(best.sum()):
                 best = seed
-        best = _bnb(A, comp, h, best, budget, deadline)
+            if int(comp.sum()) <= 64:
+                seed = drop_heuristic(A, comp, h, max_iter=64, counter=counter)
+                if int(seed.sum()) > int(best.sum()):
+                    best = seed
+            _bnb(A, comp, h, best, counter)
+    except BudgetExceeded:
+        raise ClubBudgetExceeded(best) from None
     return best
 
 
@@ -229,9 +240,8 @@ def max_h_club_itdbc(
     g: Graph,
     h: int,
     mask: np.ndarray | None = None,
-    node_budget: int = 2_000_000,
     incumbent: np.ndarray | None = None,
-    deadline: float | None = None,
+    counter: Counter | None = None,
 ) -> np.ndarray:
     """Exact maximum h-club by per-vertex decomposition (ITDBC analogue).
 
@@ -239,6 +249,7 @@ def max_h_club_itdbc(
     (induced distance >= graph distance). Iterate vertices by decreasing
     h-degree, solve the B&B restricted to N_h[v] with the global incumbent
     for pruning, and stop as soon as no remaining neighborhood can beat it.
+    Raises :class:`ClubBudgetExceeded` when ``counter`` runs out.
     """
     A = g.adjacency
     full = np.ones(g.n, dtype=bool) if mask is None else mask.copy()
@@ -250,24 +261,24 @@ def max_h_club_itdbc(
         best = star_incumbent(A, full, h)
     hdeg = np.zeros(g.n, dtype=np.int64)
     neigh: dict[int, np.ndarray] = {}
-    for v in ids:
-        reached, _ = bounded_reach(A, int(v), full, h)
-        neigh[int(v)] = reached
-        hdeg[v] = np.count_nonzero(reached)
-    order = ids[np.argsort(-hdeg[ids])]
-    budget = [node_budget]
-    for v in order:
-        v = int(v)
-        if hdeg[v] + 1 <= int(best.sum()):
-            break  # sorted descending: nothing below can beat the incumbent
-        if deadline is not None and time.monotonic() > deadline:
-            raise NodeBudgetExceeded(best)
-        cand = neigh[v].copy()
-        cand[v] = True
-        cand &= full
-        if int(cand.sum()) <= 64:
-            seed = drop_heuristic(A, cand, h, max_iter=64)
-            if int(seed.sum()) > int(best.sum()):
-                best = seed
-        best = _bnb(A, cand, h, best, budget, deadline)
+    try:
+        for v in ids:
+            reached, _ = bounded_reach(A, int(v), full, h, counter)
+            neigh[int(v)] = reached
+            hdeg[v] = np.count_nonzero(reached)
+        order = ids[np.argsort(-hdeg[ids])]
+        for v in order:
+            v = int(v)
+            if hdeg[v] + 1 <= int(best.sum()):
+                break  # sorted descending: nothing below can beat the incumbent
+            cand = neigh[v].copy()
+            cand[v] = True
+            cand &= full
+            if int(cand.sum()) <= 64:
+                seed = drop_heuristic(A, cand, h, max_iter=64, counter=counter)
+                if int(seed.sum()) > int(best.sum()):
+                    best = seed
+            _bnb(A, cand, h, best, counter)
+    except BudgetExceeded:
+        raise ClubBudgetExceeded(best) from None
     return best

@@ -11,11 +11,12 @@ from typing import Callable
 
 import numpy as np
 
-from repro.core import h_lb_ub
+from repro.clubs.clubs import ClubBudgetExceeded, star_incumbent
+from repro.core import BudgetExceeded, Counter, h_lb_ub
 from repro.core.types import CoreResult
 from repro.graphs.graph import Graph
 
-BlackBox = Callable[..., np.ndarray]  # (g, h, mask=..., incumbent=...) -> mask
+BlackBox = Callable[..., np.ndarray]  # (g, h, mask=, incumbent=, counter=) -> mask
 
 
 def max_h_club_with_cores(
@@ -23,8 +24,7 @@ def max_h_club_with_cores(
     h: int,
     algo: BlackBox,
     decomposition: CoreResult | None = None,
-    node_budget: int = 2_000_000,
-    deadline: float | None = None,
+    counter: Counter | None = None,
 ) -> np.ndarray:
     """Paper Algorithm 7: wrap ``algo`` with top-down core restriction.
 
@@ -34,23 +34,27 @@ def max_h_club_with_cores(
         decomposition: precomputed (k,h)-core decomposition (computed with
             h-LB+UB if omitted — its cost is part of the wrapper's runtime,
             as in the paper's Table 6).
+        counter: charged with every h-BFS, the decomposition's included;
+            when it runs out the wrapper raises :class:`ClubBudgetExceeded`.
     """
-    if decomposition is None:
-        decomposition = h_lb_ub(g, h)
-    core = decomposition.core
-    k_cur = int(core.max())
     # Seed with the global star incumbent (a valid h-club for h >= 2): the
     # inner exact calls then kernelize against the best known size from the
-    # start, exactly as a warm-started IP solver would.
-    from repro.clubs.clubs import star_incumbent
-
+    # start, exactly as a warm-started IP solver would. They also carry it
+    # (or better) on the ClubBudgetExceeded they raise.
     best = star_incumbent(g.adjacency, np.ones(g.n, dtype=bool), h)
+    if decomposition is None:
+        try:
+            decomposition = h_lb_ub(g, h, counter=counter)
+        except BudgetExceeded:
+            raise ClubBudgetExceeded(best) from None
+    core = decomposition.core
+    k_cur = int(core.max(initial=0))
     while True:
         mask = core >= k_cur
         if mask.any():
             club = algo(
-                g, h, mask=mask, node_budget=node_budget,
-                incumbent=best if best.any() else None, deadline=deadline,
+                g, h, mask=mask, incumbent=best if best.any() else None,
+                counter=counter,
             )
             size = int(club.sum())
             if size > int(best.sum()):

@@ -63,7 +63,7 @@ def improve_lb(
     lb2: np.ndarray,
     counter: Counter | None = None,
     spark=None,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray]:
     """Algorithm 6 — ImproveLB: clean V[k] and tighten the lower bound.
 
     Computes h-degrees on G[V[k]]; LB3(v) = max(LB2(v), min h-degree over
@@ -73,8 +73,8 @@ def improve_lb(
     an upper bound on their true h-degree, so any vertex dropping below kmin
     certainly does not belong to the partition.
 
-    Returns ``(vk, lb3, degs)``: the cleaned mask, per-vertex LB3 (0 outside
-    V[k]), and the (approximate, post-cleaning) h-degree scratch array.
+    Returns ``(vk, lb3)``: the cleaned mask and per-vertex LB3 (0 outside
+    V[k]).
     """
     n = len(A)
     vk = vk.copy()
@@ -82,7 +82,7 @@ def improve_lb(
     lb3 = np.zeros(n, dtype=np.int64)
     ids = np.flatnonzero(vk)
     if len(ids) == 0:
-        return vk, lb3, degs
+        return vk, lb3
     min_deg = int(degs[ids].min())
     lb3[ids] = np.maximum(lb2[ids], min_deg)
     stack = [int(v) for v in ids if degs[v] < kmin]
@@ -100,7 +100,7 @@ def improve_lb(
         new = np.flatnonzero(reached & (degs < kmin) & ~queued)
         queued[new] = True
         stack.extend(new.tolist())
-    return vk, lb3, degs
+    return vk, lb3
 
 
 def _run_interval(
@@ -121,7 +121,7 @@ def _run_interval(
     for every vertex still unassigned.
     """
     vk = ub >= kmin
-    vk, lb3_star, _ = improve_lb(A, h, vk, kmin, lb2, counter, spark)
+    vk, lb3_star = improve_lb(A, h, vk, kmin, lb2, counter, spark)
     if not vk.any():
         return
     lb3_acc[vk] = np.maximum(lb3_acc[vk], lb3_star[vk])

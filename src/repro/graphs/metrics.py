@@ -27,11 +27,11 @@ class GraphStats:
 def diameter(g: Graph) -> int:
     """Exact diameter of the largest connected region (BFS from every vertex).
 
-    -1 only for edgeless graphs. Unreachable pairs are ignored, matching the
-    convention for the paper's connected datasets.
+    0 for a graph without edges, the empty graph included. Unreachable pairs
+    are ignored, matching the convention for the paper's connected datasets.
     """
     dist = distance_matrix(g.adjacency)
-    return int(dist.max())
+    return int(dist.max(initial=0))
 
 
 def graph_stats(g: Graph) -> GraphStats:

@@ -87,7 +87,7 @@ def select_landmarks(
                 from repro.core.reference import classic_core_decomposition
 
                 core = classic_core_decomposition(g)
-        top = np.flatnonzero(core == core.max())
+        top = np.flatnonzero(core == core.max(initial=0))
         if len(top) <= ell:
             # Top core smaller than ell: fill from the next cores down.
             order = np.argsort(-core)

@@ -2,8 +2,15 @@
 
 Reports the club size found and the runtimes of the DBC/ITDBC analogues run
 directly on the graph vs wrapped by Algorithm 7 (core-restricted, including
-the decomposition time, as in the paper). NT marks a node-budget blow-up —
-the analogue of the paper's NT/OM cells.
+the decomposition time, as in the paper).
+
+The whole job runs under one wall-clock budget, ``JOB_BUDGET_S``. Each
+call — a cell's h-LB+UB decomposition, then its four solver calls — gets a
+``Counter`` whose deadline is an equal share of the time left over the
+calls still to run, so a call that finishes early leaves its time to later
+ones. NT marks a call that ran out of its share — the analogue of the
+paper's NT/OM cells; the club size column then reports the incumbent as a
+lower bound.
 """
 from __future__ import annotations
 
@@ -12,17 +19,23 @@ import time
 import pandas as pd
 
 from repro.clubs import (
-    NodeBudgetExceeded,
+    ClubBudgetExceeded,
     max_h_club_dbc,
     max_h_club_itdbc,
     max_h_club_with_cores,
 )
-from repro.core import h_lb_ub
+from repro.core import BudgetExceeded, Counter, h_lb_ub
+from repro.core.kernels import timed_deadline
 from repro.graphs.datasets import load
 from repro.tables.common import NT
 
 DATASETS = ["FBco", "caHe", "amzn", "rnTX", "rnPA"]
 H_VALUES = [2, 3, 4]
+
+# Wall-clock seconds for the whole job, graph loading included: 90% of the
+# `timeout 2400` that results/run_all_jobs.sh gives each table job, leaving
+# the rest for imports, printing and the last BFS past a deadline (tested).
+JOB_BUDGET_S = 2160.0
 
 # Paper Table 6: dataset -> h -> (club size, DBC, ITDBC, A7+DBC, A7+ITDBC);
 # "OM" = out of memory (>128 GB), "NT" = >24h.
@@ -45,32 +58,31 @@ PAPER_TABLE6 = {
 }
 
 
-def _timed(fn, *args, time_budget_s: float = 45.0, **kwargs) -> tuple[str | float, int]:
-    """(runtime or NT, club size found — incumbent size on NT)."""
-    t0 = time.monotonic()
-    try:
-        club = fn(*args, deadline=t0 + time_budget_s, **kwargs)
-        return round(time.monotonic() - t0, 2), int(club.sum())
-    except NodeBudgetExceeded as e:
-        return NT, int(e.incumbent.sum())
-
-
-def run(
-    fast: bool = False,
-    node_budget: int = 1_000_000,
-    time_budget_s: float = 45.0,
-) -> pd.DataFrame:
+def run(fast: bool = False) -> pd.DataFrame:
     """Run all four solver configurations per (dataset, h)."""
     names = ["rnPA"] if fast else DATASETS
     hs = [2] if fast else H_VALUES
+    job_deadline = timed_deadline(JOB_BUDGET_S)
+    calls_left = len(names) * len(hs) * 5  # per cell: h-LB+UB, four solvers
+
+    def next_counter() -> Counter:
+        nonlocal calls_left
+        share = (job_deadline - time.monotonic()) / calls_left
+        calls_left -= 1
+        return Counter(deadline=timed_deadline(share))
+
     rows = []
     for name in names:
         g = load(name)
         for h in hs:
             t0 = time.monotonic()
-            dec = h_lb_ub(g, h)
+            try:
+                dec = h_lb_ub(g, h, counter=next_counter())
+            except BudgetExceeded:
+                dec = None
             t_dec = time.monotonic() - t0
-            row: dict = {"dataset": name, "h": h, "k*": int(dec.core.max())}
+            row: dict = {"dataset": name, "h": h,
+                         "k*": NT if dec is None else int(dec.core.max())}
             sizes = []
             for label, fn, wrapped in (
                 ("DBC", max_h_club_dbc, False),
@@ -78,20 +90,23 @@ def run(
                 ("A7+DBC", max_h_club_dbc, True),
                 ("A7+ITDBC", max_h_club_itdbc, True),
             ):
-                if wrapped:
-                    rt, size = _timed(
-                        max_h_club_with_cores, g, h, fn,
-                        decomposition=dec, node_budget=node_budget,
-                        time_budget_s=time_budget_s,
-                    )
+                counter = next_counter()
+                if wrapped and dec is None:
+                    row[label] = NT  # no decomposition to wrap
+                    continue
+                t0 = time.monotonic()
+                try:
+                    if wrapped:
+                        club = max_h_club_with_cores(
+                            g, h, fn, decomposition=dec, counter=counter
+                        )
+                    else:
+                        club = fn(g, h, counter=counter)
                     # The paper includes the decomposition in Alg 7's time.
-                    if rt != NT:
-                        rt = round(rt + t_dec, 2)
-                else:
-                    rt, size = _timed(
-                        fn, g, h, node_budget=node_budget,
-                        time_budget_s=time_budget_s,
-                    )
+                    rt = round(time.monotonic() - t0 + (t_dec if wrapped else 0), 2)
+                    size = int(club.sum())
+                except ClubBudgetExceeded as e:
+                    rt, size = NT, int(e.incumbent.sum())
                 row[label] = rt
                 sizes.append((size, rt))
             exact_sizes = [s for s, rt in sizes if rt != NT]

@@ -105,7 +105,7 @@ def test_improve_lb_is_sound(seed):
     ub = upper_bound(A, h)
     for kmin in (1, 2, int(ub.max())):
         vk0 = ub >= kmin
-        vk, lb3, _ = improve_lb(A, h, vk0, kmin, lb2)
+        vk, lb3 = improve_lb(A, h, vk0, kmin, lb2)
         ids = np.flatnonzero(vk0)
         assert (lb3[ids] <= core[ids]).all(), "Property 3 violated"
         # no vertex with core >= kmin may be cleaned away

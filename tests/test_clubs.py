@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from repro.clubs import (
-    NodeBudgetExceeded,
+    ClubBudgetExceeded,
     drop_heuristic,
     is_h_club,
     max_h_club_dbc,
@@ -13,6 +13,7 @@ from repro.clubs import (
     max_h_club_with_cores,
     star_incumbent,
 )
+from repro.core import BudgetExceeded, Counter, h_lb_ub
 from repro.core.reference import brute_force_cores
 from repro.graphs.generators import erdos_renyi
 from repro.graphs.graph import Graph
@@ -99,11 +100,54 @@ def test_drop_heuristic_feasible():
     assert club.any()
 
 
-def test_node_budget_raises_with_incumbent():
+def _club_solvers(g, h):
+    """Each h-club entry point as ``counter -> mask``; the wrapper gets a
+    precomputed decomposition, so its BFS work is the solver's own."""
+    dec = h_lb_ub(g, h)
+    return {
+        "dbc": lambda c: max_h_club_dbc(g, h, counter=c),
+        "itdbc": lambda c: max_h_club_itdbc(g, h, counter=c),
+        "a7+dbc": lambda c: max_h_club_with_cores(
+            g, h, max_h_club_dbc, decomposition=dec, counter=c
+        ),
+        "a7+itdbc": lambda c: max_h_club_with_cores(
+            g, h, max_h_club_itdbc, decomposition=dec, counter=c
+        ),
+    }
+
+
+@pytest.mark.parametrize("solver", ["dbc", "itdbc", "a7+dbc", "a7+itdbc"])
+def test_solvers_charge_the_counter(solver):
     g = erdos_renyi(30, 0.15, seed=1)
-    with pytest.raises(NodeBudgetExceeded) as ei:
-        max_h_club_dbc(g, 2, node_budget=0)
-    assert ei.value.incumbent.any()  # carries a feasible fallback
+    c = Counter()
+    club = _club_solvers(g, 2)[solver](c)
+    assert is_h_club(g.adjacency, club, 2)
+    assert c.visits > 0 and c.bfs_calls > 0
+
+
+@pytest.mark.parametrize("solver", ["dbc", "itdbc", "a7+dbc", "a7+itdbc"])
+@pytest.mark.parametrize(
+    "budget", [{"visit_budget": 0}, {"deadline": 0.0}], ids=["visits", "deadline"]
+)
+def test_budget_raises_with_incumbent(solver, budget):
+    g = erdos_renyi(30, 0.15, seed=1)
+    with pytest.raises(BudgetExceeded) as ei:
+        _club_solvers(g, 2)[solver](Counter(**budget))
+    club = ei.value.incumbent  # only ClubBudgetExceeded carries one
+    assert club.any() and is_h_club(g.adjacency, club, 2)  # a feasible fallback
+
+
+def test_wrapper_charges_its_own_decomposition():
+    g = erdos_renyi(30, 0.15, seed=1)
+    dec = h_lb_ub(g, 2)
+    given, own = Counter(), Counter()
+    max_h_club_with_cores(g, 2, max_h_club_itdbc, decomposition=dec, counter=given)
+    max_h_club_with_cores(g, 2, max_h_club_itdbc, counter=own)
+    assert own.visits == given.visits + dec.visits
+    assert own.bfs_calls == given.bfs_calls + dec.bfs_calls
+    with pytest.raises(ClubBudgetExceeded) as ei:
+        max_h_club_with_cores(g, 2, max_h_club_itdbc, counter=Counter(visit_budget=0))
+    assert is_h_club(g.adjacency, ei.value.incumbent, 2)
 
 
 def test_disconnected_components_handled():
@@ -119,3 +163,7 @@ def test_empty_mask():
     g = erdos_renyi(5, 0.3, seed=0)
     out = max_h_club_itdbc(g, 2, mask=np.zeros(5, dtype=bool))
     assert int(out.sum()) <= 1
+    g0 = Graph.from_edges(0, np.zeros((0, 2), dtype=np.int64))
+    for algo in (max_h_club_dbc, max_h_club_itdbc):
+        assert algo(g0, 2).shape == (0,)
+        assert max_h_club_with_cores(g0, 2, algo).shape == (0,)

@@ -94,6 +94,9 @@ def test_fewer_core_vertices_than_ell_falls_back():
     g = Graph.from_edges(6, np.array([[0, 1], [1, 2], [2, 0], [3, 4]]))
     lm = select_landmarks(g, "core", ell=5, h=2, seed=0)
     assert len(lm) == 5
+    g0 = Graph.from_edges(0, np.zeros((0, 2), dtype=np.int64))
+    for h in (1, 2):
+        assert len(select_landmarks(g0, "core", ell=5, h=h, seed=0)) == 0
 
 
 @pytest.mark.parametrize("h", [1, 2, 3])

@@ -24,6 +24,9 @@ def test_graph_stats_fields():
     assert s.n == 30 and s.m == g.m
     assert s.avg_deg == pytest.approx(2 * g.m / 30)
     assert s.max_deg == int(g.degrees.max())
+    for n in (0, 3):  # no edges, the empty graph included
+        s = graph_stats(Graph.from_edges(n, np.zeros((0, 2), dtype=np.int64)))
+        assert (s.n, s.m, s.avg_deg, s.max_deg, s.diameter) == (n, 0, 0.0, 0, 0)
 
 
 def test_degree_stats_spark_matches_local(spark):

@@ -1,4 +1,7 @@
 """Table harness smoke tests (fast mode) + budget/NT plumbing."""
+import re
+from pathlib import Path
+
 import numpy as np
 import pandas as pd
 import pytest
@@ -65,6 +68,14 @@ def test_table6_fast():
     row = df.iloc[0]
     assert {"DBC", "ITDBC", "A7+DBC", "A7+ITDBC", "club size"} <= set(df.columns)
     assert row["k*"] >= 1
+
+
+def test_table6_job_budget_fits_the_job_timeout():
+    """Table 6 ends by construction inside the timeout its job runs under,
+    with a tenth of it left for imports, printing and deadline overshoot."""
+    script = Path(__file__).parents[1] / "results" / "run_all_jobs.sh"
+    (timeout,) = {int(t) for t in re.findall(r"\btimeout (\d+)", script.read_text())}
+    assert 0 < table6.JOB_BUDGET_S <= 0.9 * timeout
 
 
 def test_table7_fast():
