@@ -6,10 +6,11 @@ complement direction: while the candidate set S has a pair u,w with
 d_{G[S]}(u, w) > h, any h-club inside S excludes u or w — branch on the two
 exclusions. When no far pair remains, S itself is an h-club.
 
-``max_h_club_dbc`` runs that B&B on each whole connected component — like
-DBC's single monolithic IP, it blows up on large sparse graphs.
-``max_h_club_itdbc`` decomposes per vertex neighborhood with incumbent
-pruning — like ITDBC it survives large graphs. Both are exact.
+Both solvers run one search (``_search``) over a list of candidate regions,
+largest first, and differ only in the regions: ``max_h_club_dbc`` searches
+each whole connected component — like DBC's single monolithic IP, it blows
+up on large sparse graphs; ``max_h_club_itdbc`` searches each vertex's
+closed h-neighbourhood — like ITDBC it survives large graphs. Both are exact.
 
 Every h-BFS a solver runs is charged to the caller's :class:`Counter`, the
 same visit budget and deadline the decompositions run under. When it runs
@@ -17,6 +18,8 @@ out, the solver raises :class:`ClubBudgetExceeded` carrying the best club
 found so far: the analogue of the paper's OM/NT cells.
 """
 from __future__ import annotations
+
+from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
@@ -65,37 +68,27 @@ def _far_pair(
 
 def is_h_club(A: np.ndarray, mask: np.ndarray, h: int) -> bool:
     """True iff the induced subgraph of ``mask`` has diameter <= h."""
-    if int(mask.sum()) <= 1:
-        return True
     return _far_pair(A, mask, h) is None
 
 
 def drop_heuristic(
-    A: np.ndarray,
-    mask: np.ndarray,
-    h: int,
-    max_iter: int | None = None,
-    counter: Counter | None = None,
+    A: np.ndarray, mask: np.ndarray, h: int, counter: Counter | None = None
 ) -> np.ndarray:
     """Feasible h-club by repeatedly dropping the vertex with most far pairs.
 
-    Classic DROP heuristic (Bourjolly et al.). Each iteration costs |S|
-    h-BFS traversals, so callers cap ``max_iter`` on large sets; if the cap
-    is hit the (always feasible) star incumbent is returned instead.
+    Classic DROP heuristic (Bourjolly et al.). Each iteration drops one
+    vertex and costs |S| h-BFS traversals, so the solvers run it only on
+    regions of at most 64 vertices.
     """
     cur = mask.copy()
-    iters = 0
     while int(cur.sum()) > 1:
         # Far partners of each vertex = the rest of S minus its h-degree in G[S].
         cnt = int(cur.sum()) - 1 - all_h_degrees(A, cur, h, counter)
         cnt[~cur] = -1
         worst = int(np.argmax(cnt))
         if cnt[worst] <= 0:
-            return cur
+            break
         cur[worst] = False
-        iters += 1
-        if max_iter is not None and iters >= max_iter:
-            return star_incumbent(A, mask, h)
     return cur
 
 
@@ -188,13 +181,70 @@ def _bnb(
         if pair is None:
             best[:] = S
             continue
-        u, w = pair
-        s1 = S.copy()
-        s1[u] = False
-        s2 = S.copy()
-        s2[w] = False
-        stack.append(s1)
-        stack.append(s2)
+        for x in pair:  # any club inside S excludes one end of the pair
+            child = S.copy()
+            child[x] = False
+            stack.append(child)
+
+
+def _search(
+    g: Graph,
+    h: int,
+    mask: np.ndarray | None,
+    incumbent: np.ndarray | None,
+    counter: Counter | None,
+    regions: Callable[..., Iterable[np.ndarray]],
+) -> np.ndarray:
+    """The one search both solvers run: branch-and-bound on each region.
+
+    ``regions(A, full, h, counter)`` gives candidate regions of the mask
+    ``full``, largest first, such that every h-club lies inside one of
+    them. The search starts from ``incumbent`` (else the best star inside
+    ``full``), stops at the first region no larger than the incumbent, and
+    seeds regions of at most 64 vertices with DROP. A budget cut, also one
+    raised while the regions are generated, becomes
+    :class:`ClubBudgetExceeded`.
+    """
+    A = g.adjacency
+    full = np.ones(g.n, dtype=bool) if mask is None else mask
+    best = star_incumbent(A, full, h) if incumbent is None else incumbent.copy()
+    try:
+        for region in regions(A, full, h, counter):
+            size = int(region.sum())
+            if size <= int(best.sum()):
+                break  # largest first: no later region can beat the incumbent
+            if size <= 64:
+                seed = drop_heuristic(A, region, h, counter)
+                if int(seed.sum()) > int(best.sum()):
+                    best = seed
+            _bnb(A, region, h, best, counter)
+    except BudgetExceeded:
+        raise ClubBudgetExceeded(best) from None
+    return best
+
+
+def _components(
+    A: np.ndarray, full: np.ndarray, h: int, counter: Counter | None
+) -> list[np.ndarray]:
+    """DBC's regions: the connected components of ``full``, largest first."""
+    labels = connected_components(A, full)
+    comps = [labels == r for r in np.unique(labels[full])]
+    comps.sort(key=lambda c: -int(c.sum()))
+    return comps
+
+
+def _neighbourhoods(
+    A: np.ndarray, full: np.ndarray, h: int, counter: Counter | None
+) -> Iterator[np.ndarray]:
+    """ITDBC's regions: each vertex's closed h-neighbourhood N_h[v] in
+    ``full``, by decreasing h-degree. Any h-club containing v lies inside
+    N_h[v], since induced distances are at least graph distances."""
+    ids = np.flatnonzero(full)
+    hoods = [bounded_reach(A, int(v), full, h, counter)[0] for v in ids]
+    hdeg = np.array([np.count_nonzero(r) for r in hoods], dtype=np.int64)
+    for i in np.argsort(-hdeg):
+        hoods[i][ids[i]] = True
+        yield hoods[i]
 
 
 def max_h_club_dbc(
@@ -207,33 +257,10 @@ def max_h_club_dbc(
     """Exact maximum h-club by whole-component branch-and-bound (DBC analogue).
 
     Returns the boolean membership mask of a maximum h-club within ``mask``
-    (default: the full graph). Raises :class:`ClubBudgetExceeded` when
-    ``counter`` runs out.
+    (default: the full graph), or ``incumbent`` if no club there is larger.
+    Raises :class:`ClubBudgetExceeded` when ``counter`` runs out.
     """
-    A = g.adjacency
-    full = np.ones(g.n, dtype=bool) if mask is None else mask.copy()
-    best = incumbent.copy() if incumbent is not None else np.zeros(g.n, dtype=bool)
-    if not best.any() and full.any():
-        best = np.zeros(g.n, dtype=bool)
-        best[int(np.flatnonzero(full)[0])] = True
-    labels = connected_components(A, full)
-    comps = [labels == r for r in np.unique(labels[full])]
-    comps.sort(key=lambda c: -int(c.sum()))
-    try:
-        for comp in comps:
-            if int(comp.sum()) <= int(best.sum()):
-                break
-            seed = star_incumbent(A, comp, h)
-            if int(seed.sum()) > int(best.sum()):
-                best = seed
-            if int(comp.sum()) <= 64:
-                seed = drop_heuristic(A, comp, h, max_iter=64, counter=counter)
-                if int(seed.sum()) > int(best.sum()):
-                    best = seed
-            _bnb(A, comp, h, best, counter)
-    except BudgetExceeded:
-        raise ClubBudgetExceeded(best) from None
-    return best
+    return _search(g, h, mask, incumbent, counter, _components)
 
 
 def max_h_club_itdbc(
@@ -245,40 +272,7 @@ def max_h_club_itdbc(
 ) -> np.ndarray:
     """Exact maximum h-club by per-vertex decomposition (ITDBC analogue).
 
-    Any h-club containing v lies inside v's closed h-neighborhood N_h[v]
-    (induced distance >= graph distance). Iterate vertices by decreasing
-    h-degree, solve the B&B restricted to N_h[v] with the global incumbent
-    for pruning, and stop as soon as no remaining neighborhood can beat it.
-    Raises :class:`ClubBudgetExceeded` when ``counter`` runs out.
+    Same contract as :func:`max_h_club_dbc`; searches each vertex's closed
+    h-neighbourhood, largest first, with one global incumbent.
     """
-    A = g.adjacency
-    full = np.ones(g.n, dtype=bool) if mask is None else mask.copy()
-    best = incumbent.copy() if incumbent is not None else np.zeros(g.n, dtype=bool)
-    ids = np.flatnonzero(full)
-    if len(ids) == 0:
-        return best
-    if not best.any():
-        best = star_incumbent(A, full, h)
-    hdeg = np.zeros(g.n, dtype=np.int64)
-    neigh: dict[int, np.ndarray] = {}
-    try:
-        for v in ids:
-            reached, _ = bounded_reach(A, int(v), full, h, counter)
-            neigh[int(v)] = reached
-            hdeg[v] = np.count_nonzero(reached)
-        order = ids[np.argsort(-hdeg[ids])]
-        for v in order:
-            v = int(v)
-            if hdeg[v] + 1 <= int(best.sum()):
-                break  # sorted descending: nothing below can beat the incumbent
-            cand = neigh[v].copy()
-            cand[v] = True
-            cand &= full
-            if int(cand.sum()) <= 64:
-                seed = drop_heuristic(A, cand, h, max_iter=64, counter=counter)
-                if int(seed.sum()) > int(best.sum()):
-                    best = seed
-            _bnb(A, cand, h, best, counter)
-    except BudgetExceeded:
-        raise ClubBudgetExceeded(best) from None
-    return best
+    return _search(g, h, mask, incumbent, counter, _neighbourhoods)

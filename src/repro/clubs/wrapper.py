@@ -1,9 +1,9 @@
 """Algorithm 7 — maximum h-club via (k,h)-core decomposition (paper §5.2).
 
 Theorem 3: every h-club of size k+1 is contained in the (k,h)-core. The
-wrapper therefore runs any black-box maximum-h-club solver on the *top core
-only*, descending to lower cores until a club larger than the current core
-index is found — usually solving on a tiny fraction of the graph.
+wrapper therefore runs any black-box maximum-h-club solver on the *top core*
+first — usually a tiny fraction of the graph — and on one lower core at most,
+the one Theorem 3 names from the size of the club the first call found.
 """
 from __future__ import annotations
 
@@ -30,7 +30,8 @@ def max_h_club_with_cores(
 
     Args:
         algo: exact solver with the max_h_club_dbc / max_h_club_itdbc
-            signature; called on progressively lower cores.
+            signature; called on the top core, then on at most one lower
+            core.
         decomposition: precomputed (k,h)-core decomposition (computed with
             h-LB+UB if omitted — its cost is part of the wrapper's runtime,
             as in the paper's Table 6).
@@ -48,21 +49,11 @@ def max_h_club_with_cores(
         except BudgetExceeded:
             raise ClubBudgetExceeded(best) from None
     core = decomposition.core
-    k_cur = int(core.max(initial=0))
-    while True:
-        mask = core >= k_cur
-        if mask.any():
-            club = algo(
-                g, h, mask=mask, incumbent=best if best.any() else None,
-                counter=counter,
-            )
-            size = int(club.sum())
-            if size > int(best.sum()):
-                best = club
-            if size > k_cur:
-                return best  # Theorem 3: no larger club exists anywhere
-            k_cur = min(k_cur - 1, size) if size > 0 else k_cur - 1
-        else:
-            k_cur -= 1
-        if k_cur < 0:
-            return best
+    # Theorem 3: a club larger than ``best`` lies in the (|best|,h)-core. If
+    # |best| >= k*, that core is inside the k*-core just searched, so
+    # ``best`` is optimal; otherwise one search of the |best|-core settles it.
+    k = int(core.max(initial=0))
+    best = algo(g, h, mask=core >= k, incumbent=best, counter=counter)
+    if int(best.sum()) < k:
+        best = algo(g, h, mask=core >= int(best.sum()), incumbent=best, counter=counter)
+    return best

@@ -8,7 +8,7 @@ re-computations that dominate h-BZ.
 from __future__ import annotations
 
 import time
-from typing import Literal
+from typing import Literal, get_args
 
 import numpy as np
 
@@ -36,6 +36,8 @@ def h_lb(
             degenerates to h-BZ plus one lazy recomputation per vertex).
     """
     check_h(h)
+    if lb not in get_args(LowerBoundKind):
+        raise ValueError(f"unknown lower bound {lb!r}")
     t0 = time.monotonic()
     counter = counter if counter is not None else Counter()
     A = substrate(g)

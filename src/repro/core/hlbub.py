@@ -20,7 +20,7 @@ Two execution modes reproduce the paper's §4.6 multithreading options:
 from __future__ import annotations
 
 import time
-from typing import Literal
+from typing import Literal, get_args
 
 import numpy as np
 
@@ -33,6 +33,7 @@ from repro.core.types import CoreResult
 from repro.graphs.graph import Graph, pack_adjacency, unpack_adjacency
 
 ParallelMode = Literal["none", "hdegree", "intervals"]
+UpperBoundKind = Literal["ub", "hdegree"]
 
 
 def build_intervals(ub: np.ndarray, lb2: np.ndarray, s: int) -> list[tuple[int, int]]:
@@ -50,8 +51,6 @@ def build_intervals(ub: np.ndarray, lb2: np.ndarray, s: int) -> list[tuple[int, 
         kmax = u_vals[i]
         kmin = u_vals[min(i + max(1, s), len(u_vals) - 1)] + 1
         intervals.append((kmin, kmax))
-    if not intervals:  # single UB value equal to lb0-1 cannot happen (UB>=LB2>lb0-1)
-        intervals = [(max(0, lb0), int(ub.max()) if len(ub) else 0)]
     return intervals
 
 
@@ -136,7 +135,7 @@ def h_lb_ub(
     counter: Counter | None = None,
     spark=None,
     parallel: ParallelMode = "none",
-    ub_kind: Literal["ub", "hdegree"] = "ub",
+    ub_kind: UpperBoundKind = "ub",
 ) -> CoreResult:
     """Exact (k,h)-core decomposition with lower+upper bounds (Algorithm 4).
 
@@ -148,12 +147,18 @@ def h_lb_ub(
            distinct upper-bound values (each partition pays an ImproveLB
            batch scan of its subgraph).
         parallel: "none" (pure driver), "hdegree" (Spark fans out the batch
-           h-degree computations; requires ``spark``), or "intervals"
-           (independent interval sub-computations as Spark tasks).
+           h-degree computations) or "intervals" (independent interval
+           sub-computations as Spark tasks); both Spark modes need ``spark``.
         ub_kind: "ub" = Algorithm 5's power-graph bound (the paper's h-LB+UB);
            "hdegree" = the plain h-degree baseline bound (Table 5 ablation).
     """
     check_h(h)
+    if ub_kind not in get_args(UpperBoundKind):
+        raise ValueError(f"unknown upper bound {ub_kind!r}")
+    if parallel not in get_args(ParallelMode):
+        raise ValueError(f"unknown parallel mode {parallel!r}")
+    if parallel != "none" and spark is None:
+        raise ValueError(f"parallel={parallel!r} requires a SparkSession")
     t0 = time.monotonic()
     counter = counter if counter is not None else Counter()
     n = g.n
@@ -172,8 +177,6 @@ def h_lb_ub(
     intervals = build_intervals(ub, lb2, s)
 
     if parallel == "intervals":
-        if spark is None:
-            raise ValueError("parallel='intervals' requires a SparkSession")
         core, n_tasks = _run_intervals_spark(spark, g, h, intervals, ub, lb2)
         return CoreResult(
             core=core, h=h, algo="h-LB+UB[spark-intervals]",

@@ -73,9 +73,10 @@ class Counter:
 
 
 def check_h(h: int) -> None:
-    """Reject a distance threshold below 1 (the decompositions need h >= 1)."""
-    if h < 1:
-        raise ValueError(f"h must be >= 1, got {h}")
+    """Reject a distance threshold that is not an integer >= 1 (a BFS with
+    h = 2.5 would silently run to distance 3)."""
+    if not isinstance(h, (int, np.integer)) or h < 1:
+        raise ValueError(f"h must be >= 1 and an integer, got {h!r}")
 
 
 def substrate(g: Graph) -> Adjacency:

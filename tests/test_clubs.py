@@ -95,9 +95,30 @@ def test_star_incumbent_h1_edge(path_graph):
 
 def test_drop_heuristic_feasible():
     g = erdos_renyi(16, 0.2, seed=3)
-    club = drop_heuristic(g.adjacency, np.ones(g.n, bool), 2, max_iter=50)
+    club = drop_heuristic(g.adjacency, np.ones(g.n, bool), 2)
     assert is_h_club(g.adjacency, club, 2)
     assert club.any()
+
+
+def test_wrapper_stops_at_theorem3_bound():
+    """A club of |best| >= k* vertices found in the k*-core is optimal, and
+    otherwise a larger one lies in the |best|-core: at most two calls."""
+    g = erdos_renyi(20, 0.15, seed=2)
+    dec = h_lb_ub(g, 2)
+    assert int(dec.core.max()) == 8
+    calls = []
+
+    def spy(g, h, mask, **kw):
+        club = max_h_club_dbc(g, h, mask=mask, **kw)
+        calls.append((mask.copy(), int(club.sum())))
+        return club
+
+    club = max_h_club_with_cores(g, 2, spy, decomposition=dec)
+    assert int(club.sum()) == int(max_h_club_dbc(g, 2).sum())
+    assert 1 <= len(calls) <= 2
+    assert np.array_equal(calls[0][0], dec.core >= 8)
+    if len(calls) == 2:
+        assert np.array_equal(calls[1][0], dec.core >= calls[0][1])
 
 
 def _club_solvers(g, h):

@@ -150,13 +150,19 @@ def test_empty_and_singleton_graphs():
         assert fn(g0, 2).core.tolist() == [0]
     g3 = Graph.from_edges(3, np.zeros((0, 2), dtype=np.int64))
     assert h_lb(g3, 2).core.tolist() == [0, 0, 0]
+    res = h_lb_ub(Graph.from_edges(0, np.zeros((0, 2), dtype=np.int64)), 2)
+    assert res.core.shape == (0,) and res.extra["intervals"] == []
 
 
 @pytest.mark.parametrize("fn", [h_bz, h_lb, h_lb_ub, kh_core_bsp])
-@pytest.mark.parametrize("h", [0, -1])
+@pytest.mark.parametrize("h", [0, -1, 2.5])
 def test_rejects_h_below_one(fn, h, path_graph):
     with pytest.raises(ValueError, match="h must be >= 1"):
         fn(path_graph, h)
+
+
+def test_accepts_numpy_integer_h(path_graph):
+    assert np.array_equal(h_lb(path_graph, np.int64(2)).core, h_lb(path_graph, 2).core)
 
 
 def _digest(order) -> str:

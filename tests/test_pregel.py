@@ -3,7 +3,7 @@ driver kernel), BSP decomposition, Spark-parallel h-LB+UB."""
 import numpy as np
 import pytest
 
-from repro.core import h_bz, h_lb_ub
+from repro.core import h_bz, h_lb, h_lb_ub
 from repro.core.kernels import Counter, all_h_degrees, bounded_reach
 from repro.core.reference import brute_force_cores
 from repro.graphs.generators import barabasi_albert, erdos_renyi
@@ -92,3 +92,9 @@ def test_hlbub_parallel_intervals_requires_spark():
     g = erdos_renyi(10, 0.3, seed=0)
     with pytest.raises(ValueError):
         h_lb_ub(g, 2, parallel="intervals")
+    # A misspelt or Spark-less mode must not run something else under its name.
+    for kw in ({"parallel": "hdegree"}, {"parallel": "interval"}, {"ub_kind": "UB"}):
+        with pytest.raises(ValueError):
+            h_lb_ub(g, 2, **kw)
+    with pytest.raises(ValueError):
+        h_lb(g, 2, lb="LB2")
