@@ -28,6 +28,7 @@ from repro.core.kernels import (
     Counter,
     all_h_degrees,
     bounded_reach,
+    check_h,
     connected_components,
 )
 from repro.graphs.graph import Graph
@@ -205,6 +206,7 @@ def _search(
     raised while the regions are generated, becomes
     :class:`ClubBudgetExceeded`.
     """
+    check_h(h)
     A = g.adjacency
     full = np.ones(g.n, dtype=bool) if mask is None else mask
     best = star_incumbent(A, full, h) if incumbent is None else incumbent.copy()

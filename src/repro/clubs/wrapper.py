@@ -13,6 +13,7 @@ import numpy as np
 
 from repro.clubs.clubs import ClubBudgetExceeded, star_incumbent
 from repro.core import BudgetExceeded, Counter, h_lb_ub
+from repro.core.kernels import check_h
 from repro.core.types import CoreResult
 from repro.graphs.graph import Graph
 
@@ -38,6 +39,7 @@ def max_h_club_with_cores(
         counter: charged with every h-BFS, the decomposition's included;
             when it runs out the wrapper raises :class:`ClubBudgetExceeded`.
     """
+    check_h(h)
     # Seed with the global star incumbent (a valid h-club for h >= 2): the
     # inner exact calls then kernelize against the best known size from the
     # start, exactly as a warm-started IP solver would. They also carry it

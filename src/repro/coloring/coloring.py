@@ -11,7 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core import h_bz
-from repro.core.kernels import distance_matrix
+from repro.core.kernels import check_h, distance_matrix
 from repro.graphs.graph import Graph
 
 
@@ -24,6 +24,7 @@ def greedy_distance_h_coloring(
     within G-distance h (the power-graph neighborhood, so the produced
     coloring is always *valid* per Definition 3).
     """
+    check_h(h)
     if order is None:
         order = h_bz(g, h).order
     assert order is not None
@@ -41,6 +42,7 @@ def greedy_distance_h_coloring(
 
 def is_valid_distance_h_coloring(g: Graph, h: int, colors: np.ndarray) -> bool:
     """Check Definition 3: same color => more than h hops apart in G."""
+    check_h(h)
     dist = distance_matrix(g.adjacency)
     close = (dist >= 1) & (dist <= h)
     us, vs = np.nonzero(np.triu(close, k=1))

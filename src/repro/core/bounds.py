@@ -1,12 +1,14 @@
-"""Lower and upper bounds on the (k,h)-core index (paper §4.2, §4.4).
+"""Lower and upper bounds on the (k,h)-core index (paper §4.2, §4.4, §4.5).
 
     LB1(v) = deg^{⌊h/2⌋}(v)                                  (Observation 1)
     LB2(v) = max(LB1(u) : d(u,v) <= ⌈h/2⌉) ∪ {LB1(v)}        (Observation 2)
     UB(v)  = classic core index of the implicit power graph G^h (Algorithm 5)
+    LB3(v) = max(LB2(v), min h-degree in G[V[k]])   (Property 3, Algorithm 6)
 
-All bounds are computed on the full graph G[V]. ``batch_h_degrees`` is the
-block the paper multithreads (§4.6); passing a SparkSession fans the h-BFS
-batch out over the cluster via mapInPandas (see repro.pregel.hdegree).
+LB1, LB2 and UB are computed on the full graph G[V]; LB3 on the subgraph
+G[V[k]] of one h-LB+UB partition. ``batch_h_degrees`` is the block the paper
+multithreads (§4.6); passing a SparkSession fans the h-BFS batch out over the
+cluster via mapInPandas (see repro.pregel.hdegree).
 """
 from __future__ import annotations
 
@@ -89,3 +91,37 @@ def upper_bound(
     core_decomp(A, h, 0, n, init_h_degrees, alive, ub, counter, decrement="all")
     return ub
 
+
+def improve_lb(
+    A: Adjacency,
+    h: int,
+    vk: np.ndarray,
+    kmin: int,
+    lb2: np.ndarray,
+    counter: Counter | None = None,
+    spark=None,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Algorithm 6 — ImproveLB: clean V[k] and tighten the lower bound.
+
+    Computes h-degrees on G[V[k]]; LB3(v) = max(LB2(v), min h-degree over
+    V[k]) by Property 3 (computed before cleaning, as in the paper). Then it
+    peels every vertex whose h-degree falls below kmin with the rule of
+    Algorithm 5: each deletion only decrements its h-neighbours by 1, giving
+    an upper bound on their true h-degree, so any vertex dropping below kmin
+    certainly does not belong to the partition.
+
+    Returns ``(vk, lb3)``: the cleaned mask and per-vertex LB3 (0 outside
+    V[k]).
+    """
+    n = len(A)
+    vk = vk.copy()
+    degs = batch_h_degrees(A, vk, h, counter, spark)
+    lb3 = np.zeros(n, dtype=np.int64)
+    ids = np.flatnonzero(vk)
+    if len(ids) == 0:
+        return vk, lb3
+    lb3[ids] = np.maximum(lb2[ids], int(degs[ids].min()))
+    # The peel's core indexes (all below kmin) are not needed.
+    core_decomp(A, h, 0, kmin - 1, degs, vk, np.zeros(n, dtype=np.int64), counter,
+                decrement="all")
+    return vk, lb3

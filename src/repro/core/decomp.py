@@ -1,12 +1,14 @@
-"""The bucket-peel engine: Algorithm 3 (CoreDecomp), Algorithm 1 and Algorithm 5.
+"""The bucket-peel engine: Algorithms 1, 3, 5 and 6's cleaning pass.
 
 The paper's h-BZ (Alg. 1), its upper bound on the implicit power graph G^h
-(Alg. 5) and CoreDecomp (Alg. 3) are one Batagelj–Zaveršnik bucket peel.
-They differ only in how a peeled vertex's still-alive h-neighbours get their
-new key, which ``decrement`` selects:
+(Alg. 5), CoreDecomp (Alg. 3) and ImproveLB's cleaning of V[k] (Alg. 6) are
+one Batagelj–Zaveršnik bucket peel. They differ only in how a peeled
+vertex's still-alive h-neighbours get their new key, which ``decrement``
+selects:
 
 - ``"none"`` (h-BZ): a fresh h-BFS for each, so keys stay exact h-degrees;
-- ``"all"`` (UB): an O(1) decrement for each, so keys become degrees in the
+- ``"all"`` (UB, and ImproveLB's cleaning, which peels only the buckets
+  below kmin): an O(1) decrement for each, so keys become degrees in the
   implicit power graph (an upper bound on the core index);
 - ``"at_h"`` (Alg. 3, shared by h-LB and each h-LB+UB partition): a
   decrement for the neighbours at distance exactly h (line 17: the peeled

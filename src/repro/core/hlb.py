@@ -1,7 +1,7 @@
 """Algorithm 2 — h-LB: peeling with per-vertex lower bounds.
 
 Each vertex starts bucketed at a lower bound on its core index (LB2 by
-default, LB1 or none for the Table 5 ablations); its h-degree is computed
+default, LB1 for the Table 5 ablation); its h-degree is computed
 lazily, only when the peel front reaches the bound. This skips the h-degree
 re-computations that dominate h-BZ.
 """
@@ -19,7 +19,7 @@ from repro.core.kernels import Counter, check_h, kernel_name, substrate
 from repro.core.types import CoreResult
 from repro.graphs.graph import Graph
 
-LowerBoundKind = Literal["lb2", "lb1", "none"]
+LowerBoundKind = Literal["lb2", "lb1"]
 
 
 def h_lb(
@@ -31,9 +31,8 @@ def h_lb(
     """Exact (k,h)-core decomposition with lower-bound lazy bucketing.
 
     Args:
-        lb: which lower bound seeds the buckets — "lb2" (the paper's h-LB),
-            "lb1" (Table 5 ablation), or "none" (every vertex starts at 0;
-            degenerates to h-BZ plus one lazy recomputation per vertex).
+        lb: which lower bound seeds the buckets — "lb2" (the paper's h-LB)
+            or "lb1" (Table 5 ablation).
     """
     check_h(h)
     if lb not in get_args(LowerBoundKind):
@@ -42,11 +41,8 @@ def h_lb(
     counter = counter if counter is not None else Counter()
     A = substrate(g)
     n = g.n
-    if lb == "none":
-        lb_vec = np.zeros(n, dtype=np.int64)
-    else:
-        lb1, lb2 = lower_bounds(A, h, counter)
-        lb_vec = lb2 if lb == "lb2" else lb1
+    lb1, lb2 = lower_bounds(A, h, counter)
+    lb_vec = lb2 if lb == "lb2" else lb1
     core = np.zeros(n, dtype=np.int64)
     order: list[int] = []
     core_decomp(A, h, 0, n, lb_vec, np.ones(n, dtype=bool), core, counter, order)

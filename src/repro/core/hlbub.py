@@ -1,11 +1,12 @@
-"""Algorithms 4–6 — h-LB+UB: upper-bound partitioned, top-down decomposition.
+"""Algorithm 4 — h-LB+UB: upper-bound partitioned, top-down decomposition.
 
 An upper bound UB(v) (classic core index of the implicit power graph G^h,
 Algorithm 5) splits the computation into totally independent sub-computations
 over contiguous core-index intervals. Intervals are visited top-down so that
-the expensive high-core vertices are finished early; inside each interval a
-tighter lower bound LB3 (Algorithm 6, via Property 3) plus a cheap
-decrement-based cleaning pass shrink the work further.
+the expensive high-core vertices are finished early; inside each interval
+ImproveLB (Algorithm 6) cleans V[k] and tightens the lower bound to LB3, and
+CoreDecomp (Algorithm 3) peels what is left. The bounds live in
+:mod:`repro.core.bounds` and both peels in :mod:`repro.core.decomp`.
 
 Two execution modes reproduce the paper's §4.6 multithreading options:
 
@@ -24,9 +25,10 @@ from typing import Literal, get_args
 
 import numpy as np
 
-from repro.core.bounds import batch_h_degrees, lower_bounds, upper_bound
+from repro.core.bounds import batch_h_degrees, improve_lb, lower_bounds, upper_bound
 from repro.core.decomp import core_decomp
-from repro.core.kernels import (
+# bounded_reach is unused here but bound so khbench/spans.py can wrap it.
+from repro.core.kernels import (  # noqa: F401
     Adjacency, Counter, bounded_reach, check_h, kernel_name, substrate,
 )
 from repro.core.types import CoreResult
@@ -52,54 +54,6 @@ def build_intervals(ub: np.ndarray, lb2: np.ndarray, s: int) -> list[tuple[int, 
         kmin = u_vals[min(i + max(1, s), len(u_vals) - 1)] + 1
         intervals.append((kmin, kmax))
     return intervals
-
-
-def improve_lb(
-    A: Adjacency,
-    h: int,
-    vk: np.ndarray,
-    kmin: int,
-    lb2: np.ndarray,
-    counter: Counter | None = None,
-    spark=None,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Algorithm 6 — ImproveLB: clean V[k] and tighten the lower bound.
-
-    Computes h-degrees on G[V[k]]; LB3(v) = max(LB2(v), min h-degree over
-    V[k]) by Property 3 (computed before cleaning, as in the paper); then
-    iteratively drops vertices whose *decrement-approximated* h-degree falls
-    below kmin — each deletion only decrements its h-neighbors by 1, giving
-    an upper bound on their true h-degree, so any vertex dropping below kmin
-    certainly does not belong to the partition.
-
-    Returns ``(vk, lb3)``: the cleaned mask and per-vertex LB3 (0 outside
-    V[k]).
-    """
-    n = len(A)
-    vk = vk.copy()
-    degs = batch_h_degrees(A, vk, h, counter, spark)
-    lb3 = np.zeros(n, dtype=np.int64)
-    ids = np.flatnonzero(vk)
-    if len(ids) == 0:
-        return vk, lb3
-    min_deg = int(degs[ids].min())
-    lb3[ids] = np.maximum(lb2[ids], min_deg)
-    stack = [int(v) for v in ids if degs[v] < kmin]
-    queued = np.zeros(n, dtype=bool)
-    queued[stack] = True
-    while stack:
-        v = stack.pop()
-        if not vk[v]:
-            continue
-        vk[v] = False
-        # reached ⊆ vk, so no vk test is needed; new ids go on the stack in
-        # ascending order, which fixes the removal order (and the visits).
-        reached, _ = bounded_reach(A, v, vk, h, counter)
-        degs[reached] -= 1
-        new = np.flatnonzero(reached & (degs < kmin) & ~queued)
-        queued[new] = True
-        stack.extend(new.tolist())
-    return vk, lb3
 
 
 def _run_interval(
@@ -176,30 +130,23 @@ def h_lb_ub(
         s = max(1, -(-n_ub_values // 12))  # ceil division: ~12 partitions
     intervals = build_intervals(ub, lb2, s)
 
+    extra = {"intervals": intervals, "ub": ub, "lb2": lb2, "kernel": kernel_name(A)}
     if parallel == "intervals":
-        core, n_tasks = _run_intervals_spark(spark, g, h, intervals, ub, lb2)
-        return CoreResult(
-            core=core, h=h, algo="h-LB+UB[spark-intervals]",
-            visits=counter.visits, bfs_calls=counter.bfs_calls,
-            runtime_s=time.monotonic() - t0,
-            extra={"intervals": intervals, "tasks": n_tasks, "ub": ub, "lb2": lb2,
-                   "kernel": kernel_name(A)},
-        )
-
-    core = np.zeros(n, dtype=np.int64)
-    lb3_acc = np.zeros(n, dtype=np.int64)
-    for kmin, kmax in intervals:
-        _run_interval(
-            A, h, kmin, kmax, ub, lb2, core, lb3_acc, counter, spark_for_batches,
-        )
+        core, extra["tasks"] = _run_intervals_spark(spark, g, h, intervals, ub, lb2)
+    else:
+        core = np.zeros(n, dtype=np.int64)
+        lb3_acc = np.zeros(n, dtype=np.int64)
+        for kmin, kmax in intervals:
+            _run_interval(
+                A, h, kmin, kmax, ub, lb2, core, lb3_acc, counter, spark_for_batches,
+            )
     name = "h-LB+UB" if ub_kind == "ub" else "h-LB+UB[hdeg]"
-    if parallel == "hdegree":
-        name += "[spark-hdeg]"
+    if parallel != "none":
+        name += "[spark-hdeg]" if parallel == "hdegree" else "[spark-intervals]"
     return CoreResult(
         core=core, h=h, algo=name,
         visits=counter.visits, bfs_calls=counter.bfs_calls,
-        runtime_s=time.monotonic() - t0,
-        extra={"intervals": intervals, "ub": ub, "lb2": lb2, "kernel": kernel_name(A)},
+        runtime_s=time.monotonic() - t0, extra=extra,
     )
 
 

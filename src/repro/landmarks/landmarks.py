@@ -77,6 +77,7 @@ def select_landmarks(
     proposal), "cc" (top closeness), "bc" (top betweenness), "hdeg"
     (top h-degree in G).
     """
+    check_h(h)
     rng = np.random.default_rng(seed)
     if method == "core":
         if core is None:
@@ -98,7 +99,6 @@ def select_landmarks(
     if method == "bc":
         return np.argsort(-betweenness_centrality(g))[:ell]
     if method == "hdeg":
-        check_h(h)
         degs = all_h_degrees(substrate(g), np.ones(g.n, dtype=bool), h)
         return np.argsort(-degs)[:ell]
     raise ValueError(f"unknown landmark method {method!r}")

@@ -3,11 +3,12 @@ power-graph identity for UB."""
 import numpy as np
 import pytest
 
-from repro.core.bounds import batch_h_degrees, lower_bounds, upper_bound
-from repro.core.hlbub import build_intervals, improve_lb
+from repro.core.bounds import batch_h_degrees, improve_lb, lower_bounds, upper_bound
+from repro.core.hlbub import build_intervals
 from repro.core.reference import (
     brute_force_cores,
     classic_core_decomposition,
+    kh_core_members,
     power_graph,
 )
 from tests.conftest import small_graph
@@ -111,6 +112,25 @@ def test_improve_lb_is_sound(seed):
         # no vertex with core >= kmin may be cleaned away
         keep = core >= kmin
         assert (vk[keep] | ~vk0[keep]).all()
+
+
+@pytest.mark.parametrize("model", ["er", "er-dense", "ba", "ws", "grid"])
+@pytest.mark.parametrize("seed", [0, 1])
+def test_improve_lb_cleaning_reaches_fix_point(model, seed):
+    """At h=1 a deletion lowers each neighbour's degree by exactly 1, so the
+    decrement rule is exact and the cleaned mask must be the (kmin,1)-core
+    of G[V[k]] itself, not merely a superset of it."""
+    g = small_graph(model, seed)
+    vk0 = np.random.default_rng(seed).random(g.n) < 0.8
+    sub, ids = g.induced(vk0)
+    cleaned_any = False
+    for kmin in range(1, 6):
+        vk, _ = improve_lb(g.adjacency, 1, vk0, kmin, np.zeros(g.n, dtype=np.int64))
+        expect = np.zeros(g.n, dtype=bool)
+        expect[ids] = kh_core_members(sub, 1, kmin)
+        assert np.array_equal(vk, expect), kmin
+        cleaned_any |= bool((vk != vk0).any())
+    assert cleaned_any  # the battery must exercise the cleaning
 
 
 def test_batch_h_degrees_respects_alive():

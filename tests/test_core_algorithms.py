@@ -5,6 +5,8 @@ import hashlib
 import numpy as np
 import pytest
 
+from repro.clubs import max_h_club_dbc, max_h_club_itdbc, max_h_club_with_cores
+from repro.coloring import greedy_distance_h_coloring, is_valid_distance_h_coloring
 from repro.core import Counter, h_bz, h_lb, h_lb_ub
 from repro.core.bounds import lower_bounds, upper_bound
 from repro.core.decomp import core_decomp
@@ -18,6 +20,7 @@ from repro.core.reference import (
 from repro.graphs import datasets
 from repro.graphs.generators import erdos_renyi
 from repro.graphs.graph import Graph
+from repro.landmarks import select_landmarks
 from repro.pregel.peeling import kh_core_bsp
 from tests.conftest import small_graph
 
@@ -55,7 +58,7 @@ def test_hlbub_partition_size_invariant(s, seed):
     assert np.array_equal(h_lb_ub(g, 2, s=s).core, ref)
 
 
-@pytest.mark.parametrize("lb", ["none", "lb1", "lb2"])
+@pytest.mark.parametrize("lb", ["lb1", "lb2"])
 @pytest.mark.parametrize("seed", [0, 1])
 def test_hlb_lower_bound_variants(lb, seed):
     g = small_graph("ws", seed)
@@ -165,6 +168,24 @@ def test_accepts_numpy_integer_h(path_graph):
     assert np.array_equal(h_lb(path_graph, np.int64(2)).core, h_lb(path_graph, 2).core)
 
 
+@pytest.mark.parametrize("call", [
+    lambda g, h: max_h_club_dbc(g, h),
+    lambda g, h: max_h_club_itdbc(g, h),
+    lambda g, h: max_h_club_with_cores(g, h, max_h_club_dbc, h_lb_ub(g, 2)),
+    lambda g, h: greedy_distance_h_coloring(g, h, list(range(g.n))),
+    lambda g, h: is_valid_distance_h_coloring(g, h, np.arange(g.n)),
+    lambda g, h: select_landmarks(g, "core", ell=3, h=h),
+    lambda g, h: select_landmarks(g, "hdeg", ell=3, h=h),
+], ids=["dbc", "itdbc", "alg7", "coloring", "coloring-check", "landmarks-core",
+        "landmarks-hdeg"])
+@pytest.mark.parametrize("h", [0, 2.5])
+def test_applications_reject_bad_h(call, h):
+    """A non-integral or sub-1 h must not run some other h (2.5 used to run
+    as 3 in the club solvers and as 2 in the coloring; 0 ran the 1-cores)."""
+    with pytest.raises(ValueError, match="h must be >= 1"):
+        call(erdos_renyi(30, 0.1, seed=1), h)
+
+
 def _digest(order) -> str:
     return hashlib.sha256(np.asarray(order, dtype=np.int64).tobytes()).hexdigest()[:16]
 
@@ -176,7 +197,7 @@ def test_golden_counts_coli_h3():
     bz, lb, lbub = h_bz(g, 3), h_lb(g, 3), h_lb_ub(g, 3)
     assert (bz.visits, bz.bfs_calls) == (2_682_312, 10_442)
     assert (lb.visits, lb.bfs_calls) == (236_938, 2_309)
-    assert (lbub.visits, lbub.bfs_calls) == (722_210, 5_444)
+    assert (lbub.visits, lbub.bfs_calls) == (722_220, 5_444)
     c = Counter()
     upper_bound(g.adjacency, 3, c)
     assert (c.visits, c.bfs_calls) == (63_637, 656)

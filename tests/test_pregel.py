@@ -64,6 +64,14 @@ def test_hlbub_spark_intervals_matches(spark):
         assert res.extra["tasks"] >= 1
 
 
+def test_hlbub_spark_intervals_label_keeps_ub_kind(spark):
+    g = erdos_renyi(20, 0.2, seed=4)
+    res = h_lb_ub(g, 2, spark=spark, parallel="intervals", ub_kind="hdegree")
+    assert res.algo == "h-LB+UB[hdeg][spark-intervals]"
+    assert np.array_equal(res.core, brute_force_cores(g, 2))
+    assert res.extra["tasks"] == len(res.extra["intervals"])
+
+
 def test_hlbub_spark_hdegree_matches(spark):
     g = erdos_renyi(30, 0.15, seed=7)
     ref = brute_force_cores(g, 2)
@@ -96,5 +104,6 @@ def test_hlbub_parallel_intervals_requires_spark():
     for kw in ({"parallel": "hdegree"}, {"parallel": "interval"}, {"ub_kind": "UB"}):
         with pytest.raises(ValueError):
             h_lb_ub(g, 2, **kw)
-    with pytest.raises(ValueError):
-        h_lb(g, 2, lb="LB2")
+    for lb in ("LB2", "none"):
+        with pytest.raises(ValueError):
+            h_lb(g, 2, lb=lb)
