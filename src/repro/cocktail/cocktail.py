@@ -11,7 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core import h_lb_ub
-from repro.core.kernels import connected_components
+from repro.core.kernels import connected_components, substrate
 from repro.core.types import CoreResult
 from repro.graphs.graph import Graph
 
@@ -35,7 +35,7 @@ def cocktail_party(
         decomposition = h_lb_ub(g, h)
     core = decomposition.core
     k_max = int(core[q].min())  # Q must survive in the core, so k <= min core(Q)
-    A = g.adjacency
+    A = substrate(g)
     for k in range(k_max, -1, -1):
         labels = connected_components(A, core >= k)
         if labels[q[0]] >= 0 and (labels[q] == labels[q[0]]).all():

@@ -252,12 +252,15 @@ def distance_matrix(A: np.ndarray, alive: np.ndarray | None = None) -> np.ndarra
     return dist
 
 
-def connected_components(A: np.ndarray, alive: np.ndarray) -> np.ndarray:
+def connected_components(A: Adjacency, alive: np.ndarray) -> np.ndarray:
     """Component labels of the alive-induced subgraph.
 
-    Returns an int64 array holding, for each alive vertex, the smallest alive
-    id in its component, and -1 for each dead vertex.
+    ``A`` is either substrate (see :func:`substrate`); both give the same
+    labels. Returns an int64 array holding, for each alive vertex, the
+    smallest alive id in its component, and -1 for each dead vertex.
     """
+    if isinstance(A, list):
+        return _components_lists(A, alive)
     n = A.shape[0]
     label = np.full(n, -1, dtype=np.int64)
     todo = alive.copy()
@@ -270,6 +273,27 @@ def connected_components(A: np.ndarray, alive: np.ndarray) -> np.ndarray:
             todo &= ~frontier
             frontier = A[np.flatnonzero(frontier)].any(axis=0) & todo
     return label
+
+
+def _components_lists(adj: list[list[int]], alive: np.ndarray) -> np.ndarray:
+    """:func:`connected_components` over neighbour lists, in O(n + m).
+
+    Roots are taken in increasing id order, so each component's root, the
+    label of all its vertices, is its smallest alive id.
+    """
+    live = memoryview(alive)
+    label = [-1] * len(adj)
+    for root in np.flatnonzero(alive).tolist():
+        if label[root] >= 0:
+            continue
+        label[root] = root
+        stack = [root]
+        while stack:
+            for w in adj[stack.pop()]:
+                if live[w] and label[w] < 0:
+                    label[w] = root
+                    stack.append(w)
+    return np.array(label, dtype=np.int64)
 
 
 def timed_deadline(seconds: float | None) -> float | None:

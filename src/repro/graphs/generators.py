@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.core.kernels import connected_components
+from repro.core.kernels import connected_components, substrate
 from repro.graphs.graph import Graph
 
 
@@ -190,9 +190,12 @@ def hub_boost(g0: Graph, n_hubs: int, fanout: int, seed: int = 0) -> Graph:
 
 def ensure_connected(g0: Graph, seed: int = 0) -> Graph:
     """Link all connected components into one by adding one edge per extra
-    component (random endpoint in each), preserving structure otherwise."""
+    component (random endpoint in each), preserving structure otherwise.
+
+    Components are labelled on ``substrate(g0)``, so a sparse graph's n x n
+    matrix is never built here."""
     rng = _rng(seed)
-    comp = connected_components(g0.adjacency, np.ones(g0.n, dtype=bool))
+    comp = connected_components(substrate(g0), np.ones(g0.n, dtype=bool))
     labels = np.unique(comp)
     if len(labels) <= 1:
         return g0

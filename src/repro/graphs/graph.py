@@ -26,13 +26,26 @@ def canonical_edges(edges: np.ndarray) -> np.ndarray:
 
     Self-loops are dropped; duplicates (in either orientation) are merged.
     Returns an ``(m, 2)`` int64 array sorted lexicographically.
+
+    Each edge is deduplicated as one int64 key ``(lo - base) * span +
+    (hi - base)``, which sorts in the rows' lexicographic order, so one 1-D
+    sort replaces a row-wise ``np.unique(..., axis=0)``. Endpoints spanning
+    too wide a range for the key to fit in int64 fall back to the row-wise
+    unique.
     """
     e = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
-    e = e[e[:, 0] != e[:, 1]]
     lo = np.minimum(e[:, 0], e[:, 1])
     hi = np.maximum(e[:, 0], e[:, 1])
-    e = np.unique(np.stack([lo, hi], axis=1), axis=0)
-    return e
+    keep = lo != hi
+    lo, hi = lo[keep], hi[keep]
+    if not len(lo):
+        return np.zeros((0, 2), dtype=np.int64)
+    base = int(lo.min())
+    span = int(hi.max()) - base + 1
+    if span * span > np.iinfo(np.int64).max:
+        return np.unique(np.stack([lo, hi], axis=1), axis=0)
+    key = np.unique((lo - base) * span + (hi - base))
+    return np.stack(np.divmod(key, span), axis=1) + base
 
 
 @dataclass
@@ -80,21 +93,19 @@ class Graph:
         """Sorted neighbour lists (cached), built from ``edges`` without the
         dense matrix."""
         if self._adj_lists is None:
-            both = self.both_directions()
-            both = both[np.lexsort((both[:, 1], both[:, 0]))]
-            cuts = np.searchsorted(both[:, 0], np.arange(self.n + 1)).tolist()
-            dst = both[:, 1].tolist()
+            # One int64 key src * n + dst per direction, sorted like the rows.
+            n, (u, v) = self.n, self.edges.T
+            key = np.concatenate([u * n + v, v * n + u])
+            key.sort()
+            cuts = np.searchsorted(key, np.arange(n + 1) * n).tolist()
+            dst = (key % n).tolist()
             self._adj_lists = [dst[a:b] for a, b in zip(cuts, cuts[1:])]
         return self._adj_lists
 
     @property
     def degrees(self) -> np.ndarray:
         """Vertex degrees as an int64 array."""
-        d = np.zeros(self.n, dtype=np.int64)
-        if len(self.edges):
-            np.add.at(d, self.edges[:, 0], 1)
-            np.add.at(d, self.edges[:, 1], 1)
-        return d
+        return np.bincount(self.edges.ravel(), minlength=self.n)
 
     def neighbors(self, v: int) -> np.ndarray:
         """Sorted neighbor ids of ``v``."""

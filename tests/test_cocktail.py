@@ -2,8 +2,11 @@
 import numpy as np
 import pytest
 
+from repro.cocktail import cocktail as cocktail_mod
 from repro.cocktail import cocktail_party
+from repro.core import h_lb_ub
 from repro.core.kernels import all_h_degrees, connected_components
+from repro.graphs.datasets import load
 from repro.graphs.generators import erdos_renyi
 from repro.graphs.graph import Graph
 
@@ -66,3 +69,24 @@ def test_rejects_empty_or_out_of_range_query(query):
     g = Graph.from_edges(4, np.array([[0, 1], [1, 2], [2, 3]]))
     with pytest.raises(ValueError, match="query"):
         cocktail_party(g, query, h=2)
+
+
+@pytest.mark.parametrize("name", ["coli", "rnPA"])
+def test_sparse_answer_matches_dense_and_stays_off_the_matrix(name, monkeypatch):
+    """On a sparse graph the components are labelled on the neighbour lists:
+    every answer equals the dense matrix's, and the n x n matrix is never
+    built."""
+    dense = load(name)
+    g = Graph.from_edges(dense.n, dense.edges)
+    dec = h_lb_ub(g, 2)
+    rng = np.random.default_rng(len(name))
+    queries = [[0], [g.n - 1], rng.integers(0, g.n, 2).tolist(),
+               rng.integers(0, g.n, 3).tolist(), [int(np.argmin(dec.core))]]
+    answers = [cocktail_party(g, q, 2, dec) for q in queries]
+    assert g._adj is None
+    monkeypatch.setattr(cocktail_mod, "substrate", lambda graph: graph.adjacency)
+    for q, (mask, k) in zip(queries, answers):
+        ref_mask, ref_k = cocktail_party(dense, q, 2, dec)
+        assert k == ref_k, q
+        assert np.array_equal(mask, ref_mask), q
+    assert max(k for _, k in answers) > min(k for _, k in answers)

@@ -241,7 +241,8 @@ def test_distance_matrix_alive_mask(path_graph):
 @pytest.mark.parametrize("seed", [0, 1, 2, 3])
 def test_connected_components_match_distance_matrix(model, seed):
     """Each alive vertex is labelled with the smallest alive id it reaches
-    inside the alive-induced subgraph; dead vertices get -1."""
+    inside the alive-induced subgraph; dead vertices get -1. Both substrates
+    give these labels on every mask, the all-dead one included."""
     g = small_graph(model, seed)
     A = g.adjacency
     rng = np.random.default_rng(seed)
@@ -254,5 +255,8 @@ def test_connected_components_match_distance_matrix(model, seed):
         dist = distance_matrix(A, alive)
         expect = np.array([np.flatnonzero(row >= 0).min(initial=g.n) for row in dist])
         expect[~alive] = -1
-        assert np.array_equal(connected_components(A, alive), expect)
+        for walk in (A, g.adjacency_lists):
+            labels = connected_components(walk, alive)
+            assert labels.dtype == np.int64
+            assert np.array_equal(labels, expect), kernel_name(walk)
 
