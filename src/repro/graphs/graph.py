@@ -21,31 +21,29 @@ from dataclasses import dataclass, field
 import numpy as np
 
 
-def canonical_edges(edges: np.ndarray) -> np.ndarray:
-    """Normalize an edge array to unique undirected edges ``u < v``.
+def canonical_edges(edges: np.ndarray, n: int) -> np.ndarray:
+    """Normalize an edge array on vertices ``0..n-1`` to unique undirected
+    edges ``u < v``.
 
     Self-loops are dropped; duplicates (in either orientation) are merged.
-    Returns an ``(m, 2)`` int64 array sorted lexicographically.
+    Returns an ``(m, 2)`` int64 array sorted lexicographically. Raises
+    ``ValueError`` on an endpoint outside ``0..n-1``.
 
-    Each edge is deduplicated as one int64 key ``(lo - base) * span +
-    (hi - base)``, which sorts in the rows' lexicographic order, so one 1-D
-    sort replaces a row-wise ``np.unique(..., axis=0)``. Endpoints spanning
-    too wide a range for the key to fit in int64 fall back to the row-wise
-    unique.
+    Each edge is deduplicated as one int64 key ``lo * n + hi``, which sorts in
+    the rows' lexicographic order, so one 1-D sort replaces a row-wise
+    ``np.unique(..., axis=0)``.
     """
     e = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
     lo = np.minimum(e[:, 0], e[:, 1])
     hi = np.maximum(e[:, 0], e[:, 1])
     keep = lo != hi
     lo, hi = lo[keep], hi[keep]
-    if not len(lo):
-        return np.zeros((0, 2), dtype=np.int64)
-    base = int(lo.min())
-    span = int(hi.max()) - base + 1
-    if span * span > np.iinfo(np.int64).max:
-        return np.unique(np.stack([lo, hi], axis=1), axis=0)
-    key = np.unique((lo - base) * span + (hi - base))
-    return np.stack(np.divmod(key, span), axis=1) + base
+    if len(hi) and int(hi.max()) >= n:
+        raise ValueError(f"edge endpoint {int(hi.max())} out of range for n={n}")
+    if len(lo) and int(lo.min()) < 0:
+        raise ValueError(f"edge endpoint {int(lo.min())} is negative")
+    key = np.unique(lo * n + hi)
+    return np.stack(np.divmod(key, n), axis=1)
 
 
 @dataclass
@@ -65,12 +63,7 @@ class Graph:
     @classmethod
     def from_edges(cls, n: int, edges: np.ndarray) -> "Graph":
         """Build a graph from any (possibly messy) edge array."""
-        e = canonical_edges(edges)
-        if len(e) and int(e.max()) >= n:
-            raise ValueError(f"edge endpoint {int(e.max())} out of range for n={n}")
-        if len(e) and int(e.min()) < 0:
-            raise ValueError(f"edge endpoint {int(e.min())} is negative")
-        return cls(n=n, edges=e)
+        return cls(n=n, edges=canonical_edges(edges, n))
 
     @property
     def m(self) -> int:
@@ -93,12 +86,10 @@ class Graph:
         """Sorted neighbour lists (cached), built from ``edges`` without the
         dense matrix."""
         if self._adj_lists is None:
-            # One int64 key src * n + dst per direction, sorted like the rows.
-            n, (u, v) = self.n, self.edges.T
-            key = np.concatenate([u * n + v, v * n + u])
-            key.sort()
-            cuts = np.searchsorted(key, np.arange(n + 1) * n).tolist()
-            dst = (key % n).tolist()
+            both = self.both_directions()
+            both = both[np.lexsort((both[:, 1], both[:, 0]))]
+            cuts = np.searchsorted(both[:, 0], np.arange(self.n + 1)).tolist()
+            dst = both[:, 1].tolist()
             self._adj_lists = [dst[a:b] for a, b in zip(cuts, cuts[1:])]
         return self._adj_lists
 
