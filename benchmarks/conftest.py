@@ -5,21 +5,6 @@ from repro.graphs.datasets import load
 
 
 @pytest.fixture(scope="session")
-def coli():
-    return load("coli")
-
-
-@pytest.fixture(scope="session")
-def jazz():
-    return load("jazz")
-
-
-@pytest.fixture(scope="session")
-def cele():
-    return load("cele")
-
-
-@pytest.fixture(scope="session")
 def rnpa():
     return load("rnPA")
 

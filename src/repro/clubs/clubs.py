@@ -12,10 +12,11 @@ each whole connected component — like DBC's single monolithic IP, it blows
 up on large sparse graphs; ``max_h_club_itdbc`` searches each vertex's
 closed h-neighbourhood — like ITDBC it survives large graphs. Both are exact.
 
-Every h-BFS a solver runs is charged to the caller's :class:`Counter`, the
-same visit budget and deadline the decompositions run under. When it runs
-out, the solver raises :class:`ClubBudgetExceeded` carrying the best club
-found so far: the analogue of the paper's OM/NT cells.
+Every h-BFS a solver runs walks :func:`~repro.core.kernels.substrate` and is
+charged to the caller's :class:`Counter`: the same substrate, visit budget
+and deadline the decompositions run under. When it runs out, the solver
+raises :class:`ClubBudgetExceeded` carrying the best club found so far: the
+analogue of the paper's OM/NT cells.
 """
 from __future__ import annotations
 
@@ -24,12 +25,14 @@ from typing import Callable, Iterable, Iterator
 import numpy as np
 
 from repro.core.kernels import (
+    Adjacency,
     BudgetExceeded,
     Counter,
     all_h_degrees,
     bounded_reach,
     check_h,
     connected_components,
+    substrate,
 )
 from repro.graphs.graph import Graph
 
@@ -44,7 +47,7 @@ class ClubBudgetExceeded(BudgetExceeded):
 
 
 def _far_pair(
-    A: np.ndarray,
+    A: Adjacency,
     S: np.ndarray,
     h: int,
     degs: np.ndarray | None = None,
@@ -67,13 +70,13 @@ def _far_pair(
     return None
 
 
-def is_h_club(A: np.ndarray, mask: np.ndarray, h: int) -> bool:
+def is_h_club(A: Adjacency, mask: np.ndarray, h: int) -> bool:
     """True iff the induced subgraph of ``mask`` has diameter <= h."""
     return _far_pair(A, mask, h) is None
 
 
 def drop_heuristic(
-    A: np.ndarray, mask: np.ndarray, h: int, counter: Counter | None = None
+    A: Adjacency, mask: np.ndarray, h: int, counter: Counter | None = None
 ) -> np.ndarray:
     """Feasible h-club by repeatedly dropping the vertex with most far pairs.
 
@@ -93,35 +96,28 @@ def drop_heuristic(
     return cur
 
 
-def star_incumbent(A: np.ndarray, mask: np.ndarray, h: int) -> np.ndarray:
+def star_incumbent(A: Adjacency, mask: np.ndarray, h: int) -> np.ndarray:
     """The best *star* inside ``mask``: a max-degree vertex plus its alive
     neighbors. For h >= 2 a star is always an h-club (any two leaves meet
     through the center), and for h = 2 it is often optimal in hub-skewed
-    graphs — the paper's h=2 club sizes are ~ max degree + 1.
+    graphs — the paper's h=2 club sizes are ~ max degree + 1. Uncharged.
     """
-    n = A.shape[0]
-    out = np.zeros(n, dtype=bool)
     ids = np.flatnonzero(mask)
     if len(ids) == 0:
-        return out
+        return np.zeros(len(A), dtype=bool)
+    deg = all_h_degrees(A, mask, 1)[ids]
+    # h=1 club = clique: the first vertex with an alive neighbor and its
+    # smallest one, a single edge, is the safe incumbent.
+    center = int(ids[np.argmax(deg > 0) if h < 2 else np.argmax(deg)])
+    out = bounded_reach(A, center, mask, 1)[0]
     if h < 2:
-        # h=1 club = clique; a single edge is the safe incumbent.
-        for u in ids:
-            nb = np.flatnonzero(A[u] & mask)
-            if len(nb):
-                out[u] = out[int(nb[0])] = True
-                return out
-        out[int(ids[0])] = True
-        return out
-    deg_in = (A[ids][:, mask]).sum(axis=1)
-    center = int(ids[int(np.argmax(deg_in))])
+        out[np.flatnonzero(out)[1:]] = False
     out[center] = True
-    out |= A[center] & mask
     return out
 
 
 def _kernelize(
-    A: np.ndarray, S: np.ndarray, h: int, lower: int, counter: Counter | None
+    A: Adjacency, S: np.ndarray, h: int, lower: int, counter: Counter | None
 ) -> tuple[np.ndarray, np.ndarray]:
     """Peel S down to vertices that could belong to a club larger than the
     incumbent (Theorem-3-style pruning, applied at every B&B node).
@@ -135,7 +131,7 @@ def _kernelize(
     Returns the peeled mask and the (approximate) h-degrees within it.
     """
     S = S.copy()
-    degs = np.zeros(A.shape[0], dtype=np.int64)
+    degs = np.zeros(len(A), dtype=np.int64)
     ids = np.flatnonzero(S)
     neigh: dict[int, np.ndarray] = {}
     for v in ids:
@@ -159,7 +155,7 @@ def _kernelize(
 
 
 def _bnb(
-    A: np.ndarray,
+    A: Adjacency,
     start: np.ndarray,
     h: int,
     best: np.ndarray,
@@ -207,7 +203,7 @@ def _search(
     :class:`ClubBudgetExceeded`.
     """
     check_h(h)
-    A = g.adjacency
+    A = substrate(g)
     full = np.ones(g.n, dtype=bool) if mask is None else mask
     best = star_incumbent(A, full, h) if incumbent is None else incumbent.copy()
     try:
@@ -226,7 +222,7 @@ def _search(
 
 
 def _components(
-    A: np.ndarray, full: np.ndarray, h: int, counter: Counter | None
+    A: Adjacency, full: np.ndarray, h: int, counter: Counter | None
 ) -> list[np.ndarray]:
     """DBC's regions: the connected components of ``full``, largest first."""
     labels = connected_components(A, full)
@@ -236,7 +232,7 @@ def _components(
 
 
 def _neighbourhoods(
-    A: np.ndarray, full: np.ndarray, h: int, counter: Counter | None
+    A: Adjacency, full: np.ndarray, h: int, counter: Counter | None
 ) -> Iterator[np.ndarray]:
     """ITDBC's regions: each vertex's closed h-neighbourhood N_h[v] in
     ``full``, by decreasing h-degree. Any h-club containing v lies inside

@@ -13,7 +13,7 @@ import numpy as np
 
 from repro.clubs.clubs import ClubBudgetExceeded, star_incumbent
 from repro.core import BudgetExceeded, Counter, h_lb_ub
-from repro.core.kernels import check_h
+from repro.core.kernels import check_h, substrate
 from repro.core.types import CoreResult
 from repro.graphs.graph import Graph
 
@@ -44,7 +44,7 @@ def max_h_club_with_cores(
     # inner exact calls then kernelize against the best known size from the
     # start, exactly as a warm-started IP solver would. They also carry it
     # (or better) on the ClubBudgetExceeded they raise.
-    best = star_incumbent(g.adjacency, np.ones(g.n, dtype=bool), h)
+    best = star_incumbent(substrate(g), np.ones(g.n, dtype=bool), h)
     if decomposition is None:
         try:
             decomposition = h_lb_ub(g, h, counter=counter)

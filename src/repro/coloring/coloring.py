@@ -11,7 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core import h_bz
-from repro.core.kernels import check_h, distance_matrix
+from repro.core.kernels import bounded_reach, check_h, distance_matrix, substrate
 from repro.graphs.graph import Graph
 
 
@@ -22,17 +22,18 @@ def greedy_distance_h_coloring(
 
     Each vertex gets the smallest color unused among already-colored vertices
     within G-distance h (the power-graph neighborhood, so the produced
-    coloring is always *valid* per Definition 3).
+    coloring is always *valid* per Definition 3), read from one h-BFS per
+    vertex on the graph's kernel substrate.
     """
     check_h(h)
     if order is None:
         order = h_bz(g, h).order
     assert order is not None
-    dist = distance_matrix(g.adjacency)
-    close = (dist >= 1) & (dist <= h)
+    A = substrate(g)
+    alive = np.ones(g.n, dtype=bool)
     colors = np.full(g.n, -1, dtype=np.int64)
     for v in reversed(order):
-        taken = set(int(c) for c in colors[close[v]] if c >= 0)
+        taken = set(colors[bounded_reach(A, int(v), alive, h)[0]].tolist())
         c = 0
         while c in taken:
             c += 1

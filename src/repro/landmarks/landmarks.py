@@ -83,11 +83,7 @@ def select_landmarks(
         if core is None:
             from repro.core import h_lb_ub
 
-            core = h_lb_ub(g, h).core if h > 1 else None
-            if core is None:
-                from repro.core.reference import classic_core_decomposition
-
-                core = classic_core_decomposition(g)
+            core = h_lb_ub(g, h).core
         top = np.flatnonzero(core == core.max(initial=0))
         if len(top) <= ell:
             # Top core smaller than ell: fill from the next cores down.

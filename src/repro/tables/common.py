@@ -1,8 +1,10 @@
 """Shared plumbing for the table harnesses: budgets and NT markers.
 
 The paper reports NT when an algorithm does not terminate within 20 hours;
-we reproduce NT deterministically with per-run visit budgets plus a
-wall-clock cap (DESIGN.md §4, substitution 3).
+we mark NT when a run passes a wall-clock cap or a visit budget (DESIGN.md
+§4, substitution 3). The visit budget sits far above every finished cell, so
+the wall clock decides every NT and NT follows the host's speed; ROADMAP
+item 8 plans a host-independent rule.
 """
 from __future__ import annotations
 

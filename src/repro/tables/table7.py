@@ -13,7 +13,6 @@ import pandas as pd
 
 from repro.core import h_lb_ub
 from repro.core.kernels import distance_matrix
-from repro.core.reference import classic_core_decomposition
 from repro.graphs.datasets import load
 from repro.landmarks import estimate_error, select_landmarks
 
@@ -55,9 +54,7 @@ def run(
         dist = distance_matrix(g.adjacency)
         cores: dict[int, np.ndarray] = {}
         for h in hs:
-            cores[h] = (
-                classic_core_decomposition(g) if h == 1 else h_lb_ub(g, h).core
-            )
+            cores[h] = h_lb_ub(g, h).core
             core_rows.append(
                 {
                     "dataset": name,

@@ -13,8 +13,11 @@ from repro.clubs import (
     max_h_club_with_cores,
     star_incumbent,
 )
+from repro.clubs import clubs as clubs_mod
+from repro.clubs import wrapper as wrapper_mod
 from repro.core import BudgetExceeded, Counter, h_lb_ub
 from repro.core.reference import brute_force_cores
+from repro.graphs.datasets import DATASETS
 from repro.graphs.generators import erdos_renyi
 from repro.graphs.graph import Graph
 from tests.conftest import small_graph
@@ -63,13 +66,19 @@ def test_theorem3_club_inside_core(seed):
     assert (core[club] >= k).all()
 
 
+def _substrates(g: Graph) -> list:
+    """Both adjacencies the kernel walks: the dense matrix and the lists."""
+    return [g.adjacency, g.adjacency_lists]
+
+
 def test_is_h_club_basics(path_graph, clique_graph, star_graph):
     full = np.ones(5, dtype=bool)
-    assert not is_h_club(path_graph.adjacency, full, 2)  # P5 diameter 4
-    assert is_h_club(path_graph.adjacency, full, 4)
-    assert is_h_club(clique_graph.adjacency, np.ones(6, bool), 1)
-    assert is_h_club(star_graph.adjacency, np.ones(6, bool), 2)
-    assert not is_h_club(star_graph.adjacency, np.ones(6, bool), 1)
+    for P, K, S in zip(*map(_substrates, (path_graph, clique_graph, star_graph))):
+        assert not is_h_club(P, full, 2)  # P5 diameter 4
+        assert is_h_club(P, full, 4)
+        assert is_h_club(K, np.ones(6, bool), 1)
+        assert is_h_club(S, np.ones(6, bool), 2)
+        assert not is_h_club(S, np.ones(6, bool), 1)
 
 
 def test_is_h_club_induced_semantics():
@@ -77,27 +86,31 @@ def test_is_h_club_induced_semantics():
     subgraph, so dropping the hub of a star breaks the club."""
     g = Graph.from_edges(4, np.array([[0, 1], [0, 2], [0, 3]]))
     leaves = np.array([False, True, True, True])
-    assert not is_h_club(g.adjacency, leaves, 2)  # leaves are disconnected
+    for A in _substrates(g):
+        assert not is_h_club(A, leaves, 2)  # leaves are disconnected
 
 
 def test_star_incumbent_is_club_and_max_degree(star_graph):
     mask = np.ones(6, dtype=bool)
-    s = star_incumbent(star_graph.adjacency, mask, 2)
-    assert int(s.sum()) == 6
-    assert is_h_club(star_graph.adjacency, s, 2)
+    for A in _substrates(star_graph):
+        s = star_incumbent(A, mask, 2)
+        assert int(s.sum()) == 6
+        assert is_h_club(A, s, 2)
 
 
 def test_star_incumbent_h1_edge(path_graph):
-    s = star_incumbent(path_graph.adjacency, np.ones(5, bool), 1)
-    assert int(s.sum()) == 2
-    assert is_h_club(path_graph.adjacency, s, 1)
+    for A in _substrates(path_graph):
+        s = star_incumbent(A, np.ones(5, bool), 1)
+        assert np.flatnonzero(s).tolist() == [0, 1]  # first vertex, first edge
+        assert is_h_club(A, s, 1)
 
 
 def test_drop_heuristic_feasible():
     g = erdos_renyi(16, 0.2, seed=3)
-    club = drop_heuristic(g.adjacency, np.ones(g.n, bool), 2)
-    assert is_h_club(g.adjacency, club, 2)
-    assert club.any()
+    clubs = [drop_heuristic(A, np.ones(g.n, bool), 2) for A in _substrates(g)]
+    assert np.array_equal(clubs[0], clubs[1])
+    assert is_h_club(g.adjacency, clubs[0], 2)
+    assert clubs[0].any()
 
 
 def test_wrapper_stops_at_theorem3_bound():
@@ -156,6 +169,28 @@ def test_budget_raises_with_incumbent(solver, budget):
         _club_solvers(g, 2)[solver](Counter(**budget))
     club = ei.value.incumbent  # only ClubBudgetExceeded carries one
     assert club.any() and is_h_club(g.adjacency, club, 2)  # a feasible fallback
+
+
+@pytest.mark.parametrize("name", ["coli", "rnPA"])
+@pytest.mark.parametrize("h", [2, 3])
+def test_sparse_solvers_match_dense_and_stay_off_the_matrix(name, h, monkeypatch):
+    """On a sparse graph every solver walks the neighbour lists: the same
+    club, visits and BFS calls as on the dense matrix, which is never built."""
+    g = DATASETS[name]()
+    runs = {}
+    for label, solve in _club_solvers(g, h).items():
+        c = Counter()
+        runs[label] = (solve(c), c.visits, c.bfs_calls)
+    assert g._adj is None
+    for mod in (clubs_mod, wrapper_mod):
+        monkeypatch.setattr(mod, "substrate", lambda graph: graph.adjacency)
+    dense = DATASETS[name]()
+    for label, solve in _club_solvers(dense, h).items():
+        c = Counter()
+        club, visits, calls = runs[label]
+        assert np.array_equal(solve(c), club), label
+        assert (c.visits, c.bfs_calls) == (visits, calls), label
+    assert dense._adj is not None
 
 
 def test_wrapper_charges_its_own_decomposition():

@@ -4,7 +4,9 @@ import pytest
 
 from repro.coloring import greedy_distance_h_coloring, is_valid_distance_h_coloring
 from repro.core import h_bz
+from repro.core.kernels import distance_matrix
 from repro.core.reference import classic_core_decomposition, power_graph
+from repro.graphs.datasets import DATASETS
 from repro.graphs.generators import erdos_renyi, watts_strogatz
 from tests.conftest import small_graph
 
@@ -72,3 +74,30 @@ def test_ring_coloring_h2():
     colors = greedy_distance_h_coloring(g, 2)
     assert is_valid_distance_h_coloring(g, 2, colors)
     assert int(colors.max()) + 1 >= 3
+
+
+def _matrix_greedy(g, h, order):
+    """The greedy over all-pairs distances: same colors, O(n^2) memory."""
+    dist = distance_matrix(g.adjacency)
+    close = (dist >= 1) & (dist <= h)
+    colors = np.full(g.n, -1, dtype=np.int64)
+    for v in reversed(order):
+        taken = set(int(c) for c in colors[close[v]] if c >= 0)
+        c = 0
+        while c in taken:
+            c += 1
+        colors[v] = c
+    return colors
+
+
+@pytest.mark.parametrize("name", ["coli", "rnPA"])
+@pytest.mark.parametrize("h", [2, 3])
+def test_sparse_coloring_matches_distance_matrix_greedy(name, h):
+    """On a sparse graph each h-neighbourhood is one h-BFS on the lists:
+    the colors equal the distance-matrix greedy's, and the n x n matrix is
+    never built."""
+    g = DATASETS[name]()
+    order = h_bz(g, h).order
+    colors = greedy_distance_h_coloring(g, h, order)
+    assert g._adj is None
+    assert np.array_equal(colors, _matrix_greedy(g, h, order))
