@@ -100,7 +100,8 @@ def star_incumbent(A: Adjacency, mask: np.ndarray, h: int) -> np.ndarray:
     """The best *star* inside ``mask``: a max-degree vertex plus its alive
     neighbors. For h >= 2 a star is always an h-club (any two leaves meet
     through the center), and for h = 2 it is often optimal in hub-skewed
-    graphs — the paper's h=2 club sizes are ~ max degree + 1. Uncharged.
+    graphs — the paper's h=2 club sizes are ~ max degree + 1. It charges
+    no counter.
     """
     ids = np.flatnonzero(mask)
     if len(ids) == 0:

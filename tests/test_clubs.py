@@ -73,7 +73,8 @@ def _substrates(g: Graph) -> list:
 
 def test_is_h_club_basics(path_graph, clique_graph, star_graph):
     full = np.ones(5, dtype=bool)
-    for P, K, S in zip(*map(_substrates, (path_graph, clique_graph, star_graph))):
+    subs = zip(_substrates(path_graph), _substrates(clique_graph), _substrates(star_graph))
+    for P, K, S in subs:
         assert not is_h_club(P, full, 2)  # P5 diameter 4
         assert is_h_club(P, full, 4)
         assert is_h_club(K, np.ones(6, bool), 1)
