@@ -1,4 +1,5 @@
-"""h-BFS kernel microbenchmark: µs per BFS and ns per visit on each substrate.
+"""Microbenchmarks of the peel's two leaf layers: the h-BFS kernel (µs per BFS
+and ns per visit on each substrate) and the bucket structure (ns per op).
 
 A sweep runs ``bounded_reach`` from every vertex of the graph with every
 vertex alive. Each round sweeps both substrates, the dense matrix and the
@@ -14,6 +15,11 @@ and ``ns_per_visit`` (best round each), ``dense_over_lists`` (the median
 over rounds of the dense sweep's time ÷ the lists sweep's time; above 1
 means lists win) and ``visits`` (per sweep, equal on both substrates).
 
+The bucket case records the ``Buckets.add``/``move``/``pop`` calls of one
+Alg. 5 UB peel (caHe h=2, ``upper_bound``) and replays them on a fresh
+``Buckets`` per round, without tracing. Its ``extra_info`` holds ``ops``
+and ``ns_per_op`` (best round; the replay loop's own dispatch is included).
+
     pytest benchmarks/bench_kernels.py --benchmark-only
 """
 import time
@@ -21,7 +27,10 @@ import time
 import numpy as np
 import pytest
 
-from repro.core.kernels import Counter, bounded_reach
+import repro.core.decomp as decomp_mod
+from repro.core.bounds import upper_bound
+from repro.core.buckets import Buckets
+from repro.core.kernels import Counter, bounded_reach, substrate
 
 ROUNDS = 15
 
@@ -67,3 +76,49 @@ def test_bench_kernel_us_per_bfs(benchmark, request, graph, h):
         }
     ratios = np.array(times["dense"]) / np.array(times["lists"])
     benchmark.extra_info["dense_over_lists"] = float(np.median(ratios))
+
+
+def test_bench_buckets_ns_per_op(benchmark, cahe, monkeypatch):
+    log: list[tuple[str, int, int]] = []
+
+    class Recording(Buckets):
+        def add(self, v, i):
+            log.append(("add", v, i))
+            super().add(v, i)
+
+        def move(self, v, i):
+            log.append(("move", v, i))
+            super().move(v, i)
+
+        def pop(self, i):
+            v = super().pop(i)
+            log.append(("pop", v, i))
+            return v
+
+    with monkeypatch.context() as m:
+        m.setattr(decomp_mod, "Buckets", Recording)
+        upper_bound(substrate(cahe), 2)
+    # Warm-up, and proof that a fresh Buckets pops the recorded vertices, so
+    # the timed replays repeat the peel's operations exactly.
+    bk = Buckets(cahe.n)
+    for op, v, i in log:
+        if op == "pop":
+            assert bk.pop(i) == v
+        else:
+            getattr(bk, op)(v, i)
+    times: list[float] = []
+
+    def replay():
+        bk = Buckets(cahe.n)
+        ops = {"add": bk.add, "move": bk.move, "pop": lambda v, i: bk.pop(i)}
+        calls = [(ops[op], v, i) for op, v, i in log]
+        t0 = time.perf_counter()
+        for f, v, i in calls:
+            f(v, i)
+        times.append(time.perf_counter() - t0)
+        return bk
+
+    bk = benchmark.pedantic(replay, rounds=ROUNDS, iterations=1)
+    assert not any(bk.cells) and all(w == -1 for w in bk.where)
+    benchmark.extra_info["ops"] = len(log)
+    benchmark.extra_info["ns_per_op"] = min(times) / len(log) * 1e9

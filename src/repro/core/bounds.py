@@ -57,12 +57,10 @@ def lower_bounds(
         lb1 = np.zeros(n, dtype=np.int64)
     else:
         lb1 = batch_h_degrees(A, alive, h_lo, counter, spark)
-    lb2 = lb1.copy()
-    for v in range(n):
-        reached, _ = bounded_reach(A, v, alive, h_hi, counter)
-        if reached.any():
-            lb2[v] = max(lb1[v], int(lb1[reached].max()))
-    return lb1, lb2
+    # LB1 >= 0, so an empty reach's max of 0 leaves LB2(v) = LB1(v).
+    reach_max = [lb1[bounded_reach(A, v, alive, h_hi, counter)[0]].max(initial=0)
+                 for v in range(n)]
+    return lb1, np.maximum(lb1, np.array(reach_max, dtype=np.int64))
 
 
 def upper_bound(

@@ -6,8 +6,6 @@ cells (footnote 2). Python sets give the same O(1) add/remove/move.
 """
 from __future__ import annotations
 
-import numpy as np
-
 
 class Buckets:
     """Vector of sets with a reverse index ``where[v]`` (-1 = not present)."""
@@ -16,17 +14,23 @@ class Buckets:
         # Degrees are <= n-1 and the peel loop runs k up to n, so n+1 cells
         # cover every reachable index.
         self.cells: list[set[int]] = [set() for _ in range(n + 1)]
-        self.where = np.full(n, -1, dtype=np.int64)
+        # A list, not an int64 array: every op reads or writes one entry, and
+        # NumPy scalar indexing costs several times a list's.
+        self.where: list[int] = [-1] * n
 
     def add(self, v: int, i: int) -> None:
-        """Insert ``v`` into cell ``i`` (must not already be present)."""
-        i = max(0, int(i))
+        """Insert ``v`` into cell ``i`` (must not already be present); a
+        negative ``i`` means cell 0."""
+        if i < 0:
+            i = 0
         self.cells[i].add(v)
         self.where[v] = i
 
     def move(self, v: int, i: int) -> None:
-        """Move ``v`` to cell ``i`` (no-op if already there or absent)."""
-        i = max(0, int(i))
+        """Move ``v`` to cell ``i`` (no-op if already there or absent); a
+        negative ``i`` means cell 0."""
+        if i < 0:
+            i = 0
         cur = self.where[v]
         if cur == i or cur < 0:
             return

@@ -61,15 +61,19 @@ def core_decomp(
     """
     n = len(A)
     bk = Buckets(n)
+    keys_of = keys.tolist()
     for v in np.flatnonzero(alive).tolist():
-        bk.add(v, int(keys[v]))
-    setlb = np.full(n, decrement == "at_h")
+        bk.add(v, keys_of[v])
+    # The lazy flags live in a bytearray, read and written a byte per vertex;
+    # ``setlb`` views the same bytes for the one vectorized test per peel.
+    lazy = bytearray([decrement == "at_h"]) * n
+    setlb = np.frombuffer(lazy, dtype=bool)
     # Valid only where setlb is False; lazy vertices get theirs when popped.
     deg = np.array(keys, dtype=np.int64)
     for k in range(max(0, kmin - 1), kmax + 1):
         while bk.nonempty(k):
             v = bk.pop(k)
-            if setlb[v]:
+            if lazy[v]:
                 reached, _ = bounded_reach(A, v, alive, h, counter)
                 d = np.count_nonzero(reached)
                 deg[v] = d
@@ -77,16 +81,16 @@ def core_decomp(
                 # the bound is valid, max() keeps the sweep forward-only even
                 # for partition stragglers whose true core is below kmin.
                 bk.add(v, max(d, k))
-                setlb[v] = False
+                lazy[v] = 0
                 continue
             if k >= kmin:
                 core[v] = k
             if order is not None:
                 order.append(v)
-            setlb[v] = True
+            lazy[v] = 1
             reached, at_h = bounded_reach(A, v, alive, h, counter)
             alive[v] = False
-            ids = np.flatnonzero(reached & ~setlb)
+            ids = np.flatnonzero(reached > setlb)  # reached & ~setlb
             dec = reached if decrement == "all" else at_h if decrement == "at_h" else None
             if dec is None:
                 redo = ids

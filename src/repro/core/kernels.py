@@ -4,8 +4,10 @@ The paper's efficiency metric (Table 3) is "the total number of computed
 point-to-point distances (i.e., the total number of possibly repeated
 vertices visited in all h-bfs)". Every kernel here charges that count to a
 :class:`Counter`, which can also enforce a visit budget and a wall-clock
-deadline so that the paper's "NT" (did-not-terminate) cells can be
-reproduced deterministically instead of waiting 20 hours.
+deadline, so that a run the paper marks "NT" (did not terminate) stops
+instead of running for 20 hours. Which budget binds first decides whether a
+cell is NT; with the table harness's settings that is the wall clock, so NT
+follows the host's speed.
 
 The kernel walks one of two adjacency substrates of a :class:`Graph`, chosen
 once per graph by :func:`substrate`: the dense boolean matrix (a NumPy row
@@ -19,6 +21,10 @@ import time
 from dataclasses import dataclass
 
 import numpy as np
+# NumPy 1.26's C-level count_nonzero: np.count_nonzero is a Python wrapper
+# (array-function dispatch, an axis check) that costs about 0.3 µs per call
+# on top of this, and the kernels call it once or twice per BFS.
+from numpy.core.multiarray import count_nonzero as _count_nonzero
 
 from repro.graphs.graph import Graph
 
@@ -59,8 +65,18 @@ class Counter:
     deadline: float | None = None
 
     def charge(self, visits: int) -> None:
-        """Record one BFS traversal that scanned ``visits`` vertices."""
-        self.merge_batch(visits, 1)
+        """Record one BFS traversal that scanned ``visits`` vertices.
+
+        The same accounting as ``merge_batch(visits, 1)``, written out: this
+        runs once per h-BFS, so it saves the call and the int() conversions
+        (both kernels count in Python ints).
+        """
+        self.visits += visits
+        self.bfs_calls += 1
+        if self.visit_budget is not None and self.visits > self.visit_budget:
+            raise BudgetExceeded(f"visit budget exceeded: {self.visits}")
+        if self.deadline is not None and time.monotonic() > self.deadline:
+            raise BudgetExceeded("wall-clock budget exceeded")
 
     def merge_batch(self, visits: int, bfs_calls: int) -> None:
         """Fold in ``bfs_calls`` traversals (e.g. done remotely by Spark tasks)."""
@@ -134,8 +150,10 @@ def bounded_reach(
     # element to int64 first and costs about twice as much per visit.
     frontier = A[v] & alive
     frontier[v] = False
-    visits = np.count_nonzero(frontier)
-    reached = frontier.copy()
+    visits = _count_nonzero(frontier)
+    # Level 1's frontier doubles as the reached mask; the first expansion
+    # replaces ``reached`` with a new array, so neither is copied up front.
+    reached = frontier
     level = 1
     while level < h:
         ids = frontier.nonzero()[0]
@@ -143,17 +161,19 @@ def bounded_reach(
             break
         scan = A[ids]
         scan &= alive
-        visits += np.count_nonzero(scan)
+        visits += _count_nonzero(scan)
         nxt = np.logical_or.reduce(scan, axis=0)
-        nxt &= ~reached
+        np.greater(nxt, reached, out=nxt)  # nxt & ~reached, in place
         nxt[v] = False
-        reached |= nxt
+        reached = reached | nxt
         frontier = nxt
         level += 1
     if counter is not None:
         counter.charge(visits)
-    at_h = frontier if level == h else np.zeros(n, dtype=bool)
-    return reached, at_h
+    if level < h:
+        return reached, np.zeros(n, dtype=bool)
+    # At h = 1 both masks are one array; the caller gets two.
+    return reached, frontier.copy() if reached is frontier else frontier
 
 
 def _reach_lists(
@@ -218,10 +238,11 @@ def all_h_degrees(
     paper parallelizes in §4.6 — the Spark fan-out lives in
     :mod:`repro.pregel.hdegree` and produces identical values (tested).
     """
-    n = len(A)
-    out = np.zeros(n, dtype=np.int64)
-    for v in np.flatnonzero(alive):
-        out[v] = np.count_nonzero(bounded_reach(A, int(v), alive, h, counter)[0])
+    out = np.zeros(len(A), dtype=np.int64)
+    ids = np.flatnonzero(alive)
+    out[ids] = [
+        _count_nonzero(bounded_reach(A, v, alive, h, counter)[0]) for v in ids.tolist()
+    ]
     return out
 
 

@@ -5,6 +5,7 @@ import hashlib
 import numpy as np
 import pytest
 
+import repro.core.hlbub as hlbub_mod
 from repro.clubs import max_h_club_dbc, max_h_club_itdbc, max_h_club_with_cores
 from repro.coloring import greedy_distance_h_coloring, is_valid_distance_h_coloring
 from repro.core import Counter, h_bz, h_lb, h_lb_ub
@@ -207,9 +208,10 @@ def test_golden_counts_coli_h3():
 
 
 @pytest.mark.parametrize("kernel", ["dense", "lists"])
-def test_golden_counts_coli_h3_both_kernels(kernel):
+def test_golden_counts_coli_h3_both_kernels(kernel, monkeypatch):
     """The coli h=3 golden counts, with each substrate handed to the engine
-    directly, so neither kernel can drift while the entry points use the other."""
+    directly (and to h-LB+UB in place of its own choice), so neither kernel
+    can drift while the entry points use the other."""
     g = datasets.load("coli")
     A = g.adjacency if kernel == "dense" else g.adjacency_lists
     n = g.n
@@ -228,6 +230,11 @@ def test_golden_counts_coli_h3_both_kernels(kernel):
     c = Counter()
     upper_bound(A, 3, c)
     assert (c.visits, c.bfs_calls) == (63_637, 656)
+    monkeypatch.setattr(hlbub_mod, "substrate", lambda _: A)
+    lbub = h_lb_ub(g, 3)
+    assert lbub.extra["kernel"] == kernel
+    assert (lbub.visits, lbub.bfs_calls) == (722_220, 5_444)  # h-LB+UB
+    assert np.array_equal(core, lbub.core)
 
 
 def test_sparse_local_paths_never_build_the_dense_matrix():

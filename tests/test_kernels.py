@@ -98,9 +98,10 @@ def test_h_zero_is_the_empty_reach(kernel):
 @pytest.mark.parametrize("kernel", ["dense", "lists"])
 def test_every_call_returns_fresh_masks(kernel):
     """Each call returns new writable (n,) boolean masks that share no memory
-    with the last call's, so a caller may write into a result (decomp's
-    ``reached & ~setlb`` and friends) without corrupting the next one; and
-    ``alive`` is left untouched."""
+    with each other, the last call's, ``alive`` or the dense matrix, so a
+    caller may write into a result (decomp's ``reached > setlb`` and friends)
+    without corrupting the next one or the graph; and ``alive`` is left
+    untouched."""
     g = small_graph("ba", 1)
     A = g.adjacency if kernel == "dense" else g.adjacency_lists
     alive = np.random.default_rng(1).random(g.n) < 0.8
@@ -112,6 +113,9 @@ def test_every_call_returns_fresh_masks(kernel):
             for m in masks:
                 assert m.dtype == bool and m.shape == (g.n,) and m.flags.writeable
             assert not np.shares_memory(*masks)
+            assert not any(np.shares_memory(m, alive) for m in masks)
+            if kernel == "dense":
+                assert not any(np.shares_memory(m, A) for m in masks)
             if prev is not None:
                 assert not any(np.shares_memory(m, p) for m in masks for p in prev)
             expect = [m.copy() for m in masks]
