@@ -28,6 +28,7 @@ from repro.core.kernels import (
     Adjacency,
     BudgetExceeded,
     Counter,
+    _count_nonzero,
     all_h_degrees,
     bounded_reach,
     check_h,
@@ -138,7 +139,7 @@ def _kernelize(
     for v in ids:
         reached, _ = bounded_reach(A, int(v), S, h, counter)
         neigh[int(v)] = reached
-        degs[v] = np.count_nonzero(reached)
+        degs[v] = _count_nonzero(reached)
     stack = [int(v) for v in ids if degs[v] < lower]
     queued = set(stack)
     while stack:
@@ -240,7 +241,7 @@ def _neighbourhoods(
     N_h[v], since induced distances are at least graph distances."""
     ids = np.flatnonzero(full)
     hoods = [bounded_reach(A, int(v), full, h, counter)[0] for v in ids]
-    hdeg = np.array([np.count_nonzero(r) for r in hoods], dtype=np.int64)
+    hdeg = np.array([_count_nonzero(r) for r in hoods], dtype=np.int64)
     for i in np.argsort(-hdeg):
         hoods[i][ids[i]] = True
         yield hoods[i]

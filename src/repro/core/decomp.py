@@ -28,7 +28,7 @@ from typing import Literal
 import numpy as np
 
 from repro.core.buckets import Buckets
-from repro.core.kernels import Adjacency, Counter, bounded_reach
+from repro.core.kernels import Adjacency, Counter, _count_nonzero, bounded_reach
 
 Decrement = Literal["none", "all", "at_h"]
 
@@ -61,26 +61,27 @@ def core_decomp(
     """
     n = len(A)
     bk = Buckets(n)
-    keys_of = keys.tolist()
+    # Valid only where not lazy; lazy vertices get theirs when popped.
+    deg = keys.tolist()
     for v in np.flatnonzero(alive).tolist():
-        bk.add(v, keys_of[v])
+        bk.add(v, deg[v])
     # The lazy flags live in a bytearray, read and written a byte per vertex;
     # ``setlb`` views the same bytes for the one vectorized test per peel.
     lazy = bytearray([decrement == "at_h"]) * n
     setlb = np.frombuffer(lazy, dtype=bool)
-    # Valid only where setlb is False; lazy vertices get theirs when popped.
-    deg = np.array(keys, dtype=np.int64)
+    # Which reached vertices are decremented: a byte per vertex, all set for
+    # "all", none for "none", and at_h's bytes (taken per peel) for "at_h".
+    dec = b"\1" * n if decrement == "all" else bytes(n)
     for k in range(max(0, kmin - 1), kmax + 1):
         while bk.nonempty(k):
             v = bk.pop(k)
             if lazy[v]:
-                reached, _ = bounded_reach(A, v, alive, h, counter)
-                d = np.count_nonzero(reached)
+                d = _count_nonzero(bounded_reach(A, v, alive, h, counter)[0])
                 deg[v] = d
                 # The paper re-buckets at B[deg]; deg >= k is guaranteed when
-                # the bound is valid, max() keeps the sweep forward-only even
+                # the bound is valid, and k keeps the sweep forward-only even
                 # for partition stragglers whose true core is below kmin.
-                bk.add(v, max(d, k))
+                bk.add(v, d if d > k else k)
                 lazy[v] = 0
                 continue
             if k >= kmin:
@@ -90,17 +91,14 @@ def core_decomp(
             lazy[v] = 1
             reached, at_h = bounded_reach(A, v, alive, h, counter)
             alive[v] = False
-            ids = np.flatnonzero(reached > setlb)  # reached & ~setlb
-            dec = reached if decrement == "all" else at_h if decrement == "at_h" else None
-            if dec is None:
-                redo = ids
-            else:
-                hit = dec[ids]
-                deg[ids[hit]] -= 1
-                redo = ids[~hit]
-            # Recomputations read only ``alive``, so they may all run before
-            # the moves; the moves keep ascending vertex order.
-            for u in redo.tolist():
-                deg[u] = np.count_nonzero(bounded_reach(A, u, alive, h, counter)[0])
-            for u, d in zip(ids.tolist(), deg[ids].tolist()):
-                bk.move(u, max(d, k))
+            if decrement == "at_h":
+                dec = at_h.tobytes()
+            # One ascending pass over reached & ~setlb: a recompute reads only
+            # ``alive``, so each neighbour is settled and moved in turn.
+            for u in np.flatnonzero(reached > setlb).tolist():
+                if dec[u]:
+                    d = deg[u] - 1
+                else:
+                    d = _count_nonzero(bounded_reach(A, u, alive, h, counter)[0])
+                deg[u] = d
+                bk.move(u, d if d > k else k)

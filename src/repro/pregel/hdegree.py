@@ -41,7 +41,7 @@ def h_degrees_spark(
     vdf = spark.createDataFrame(pd.DataFrame({"v": ids})).repartition(parts)
 
     def compute(batches: Iterator[pd.DataFrame]) -> Iterator[pd.DataFrame]:
-        from repro.core.kernels import Counter
+        from repro.core.kernels import Counter, _count_nonzero
 
         A_task = unpack_adjacency(b_adj.value, n)
         alive_task = np.unpackbits(
@@ -54,7 +54,7 @@ def h_degrees_spark(
             for i, v in enumerate(vs):
                 c = Counter()
                 reached, _ = bounded_reach(A_task, int(v), alive_task, h, c)
-                degs[i] = np.count_nonzero(reached)
+                degs[i] = _count_nonzero(reached)
                 visits[i] = c.visits
             yield pd.DataFrame({"v": vs, "hdeg": degs, "visits": visits})
 
