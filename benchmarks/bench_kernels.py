@@ -1,5 +1,6 @@
-"""Microbenchmarks of the peel's two leaf layers: the h-BFS kernel (µs per BFS
-and ns per visit on each substrate) and the bucket structure (ns per op).
+"""Microbenchmarks of the peel's layers: the h-BFS kernel (µs per BFS and ns
+per visit on each substrate), the bucket structure (ns per op) and the peel
+engine around them (µs per peeled vertex, kernel time excluded).
 
 A sweep runs ``bounded_reach`` from every vertex of the graph with every
 vertex alive. Each round sweeps both substrates, the dense matrix and the
@@ -20,6 +21,15 @@ Alg. 5 UB peel (caHe h=2, ``upper_bound``) and replays them on a fresh
 ``Buckets`` per round, without tracing. Its ``extra_info`` holds ``ops``
 and ``ns_per_op`` (best round; the replay loop's own dispatch is included).
 
+The peel case runs h-LB's ``core_decomp`` from a precomputed LB2 on amzn
+h=2 (neighbour lists) and caHe h=2 (dense matrix) once, recording the
+result of every ``bounded_reach`` call, and asserts the golden visits and
+BFS calls. Each timed round repeats the peel with the kernel replaced by a
+stub that hands back the recorded results in order, so it times the engine
+alone: buckets, lazy pops, the per-peel mask test and neighbour loop. Its
+``extra_info`` holds ``visits``, ``bfs_calls``, ``peels`` (vertices peeled)
+and ``us_per_peel`` (best round; the stub's own call is included).
+
     pytest benchmarks/bench_kernels.py --benchmark-only
 """
 import time
@@ -28,9 +38,10 @@ import numpy as np
 import pytest
 
 import repro.core.decomp as decomp_mod
-from repro.core.bounds import upper_bound
+from repro.core.bounds import lower_bounds, upper_bound
 from repro.core.buckets import Buckets
-from repro.core.kernels import Counter, bounded_reach, substrate
+from repro.core.decomp import core_decomp
+from repro.core.kernels import Counter, bounded_reach, kernel_name, substrate
 
 ROUNDS = 15
 
@@ -122,3 +133,62 @@ def test_bench_buckets_ns_per_op(benchmark, cahe, monkeypatch):
     assert not any(bk.cells) and all(w == -1 for w in bk.where)
     benchmark.extra_info["ops"] = len(log)
     benchmark.extra_info["ns_per_op"] = min(times) / len(log) * 1e9
+
+
+@pytest.mark.parametrize(
+    "graph,kernel,visits,bfs_calls",
+    [("amzn", "lists", 134_711, 7_467), ("cahe", "dense", 3_190_624, 8_717)],
+)
+def test_bench_peel_us_per_peel(
+    benchmark, request, monkeypatch, graph, kernel, visits, bfs_calls
+):
+    g = request.getfixturevalue(graph)
+    A = substrate(g)
+    assert kernel_name(A) == kernel
+    _, lb2 = lower_bounds(A, 2)
+    records: list[tuple[int, int, tuple[np.ndarray, np.ndarray]]] = []
+
+    def recording(A, v, alive, h, counter=None):
+        c = Counter()
+        out = bounded_reach(A, v, alive, h, c)
+        records.append((v, c.visits, out))
+        if counter is not None:
+            counter.charge(c.visits)
+        return out
+
+    def peel():
+        c, core, order = Counter(), np.zeros(g.n, dtype=np.int64), []
+        core_decomp(A, 2, 0, g.n, lb2, np.ones(g.n, dtype=bool), core, c, order)
+        return c, core, order
+
+    with monkeypatch.context() as m:
+        m.setattr(decomp_mod, "bounded_reach", recording)
+        c, core, order = peel()
+    assert (c.visits, c.bfs_calls) == (visits, bfs_calls)
+    times: list[float] = []
+
+    def replay():
+        calls = iter(records)
+
+        def stub(A, v, alive, h, counter=None):
+            src, n_visits, out = next(calls)
+            assert src == v
+            counter.charge(n_visits)
+            return out
+
+        with monkeypatch.context() as m:
+            m.setattr(decomp_mod, "bounded_reach", stub)
+            t0 = time.perf_counter()
+            result = peel()
+            times.append(time.perf_counter() - t0)
+        assert next(calls, None) is None
+        return result
+
+    rc, rcore, rorder = benchmark.pedantic(replay, rounds=ROUNDS, iterations=1)
+    # The replay is the recorded peel: same visits, cores and peel order.
+    assert (rc.visits, rc.bfs_calls) == (visits, bfs_calls)
+    assert np.array_equal(rcore, core) and rorder == order
+    benchmark.extra_info.update(
+        visits=visits, bfs_calls=bfs_calls, peels=len(order),
+        us_per_peel=min(times) / len(order) * 1e6,
+    )

@@ -230,11 +230,61 @@ def test_golden_counts_coli_h3_both_kernels(kernel, monkeypatch):
     c = Counter()
     upper_bound(A, 3, c)
     assert (c.visits, c.bfs_calls) == (63_637, 656)
+    # The UB's peel from the same h-degrees (core_decomp leaves keys as is).
+    c, order = Counter(), []
+    core_decomp(A, 3, 0, n, deg, np.ones(n, dtype=bool), np.zeros(n, dtype=np.int64),
+                c, order, decrement="all")
+    assert (c.visits, c.bfs_calls) == (11_804, 328)
+    assert _digest(order) == "6bd79123c936a552"
     monkeypatch.setattr(hlbub_mod, "substrate", lambda _: A)
     lbub = h_lb_ub(g, 3)
     assert lbub.extra["kernel"] == kernel
     assert (lbub.visits, lbub.bfs_calls) == (722_220, 5_444)  # h-LB+UB
     assert np.array_equal(core, lbub.core)
+
+
+@pytest.mark.parametrize("name,h,bz,lb,lbub,ub,bz_digest,lb_digest", [
+    ("amzn", 2, (1_023_010, 19_947), (151_547, 11_467), (406_456, 20_693),
+     (84_769, 4_000), "7e1975548d00c85c", "d634a35612046973"),
+    ("rnPA", 4, (928_417, 20_722), (584_239, 16_290), (1_272_661, 29_988),
+     (114_212, 2_888), "039eb488137aa122", "4c155d3fa682d9ed"),
+], ids=["amzn-h2", "rnPA-h4"])
+def test_golden_counts_sparse_road(name, h, bz, lb, lbub, ub, bz_digest, lb_digest):
+    """Golden counts and peel orders on two list-substrate cells of khbench's
+    sparse-road workload (seed 0), where the engine's per-peel cost shows."""
+    g = datasets.load(name)
+    r_bz, r_lb, r_lbub = h_bz(g, h), h_lb(g, h), h_lb_ub(g, h)
+    assert r_bz.extra["kernel"] == "lists"
+    assert (r_bz.visits, r_bz.bfs_calls) == bz
+    assert (r_lb.visits, r_lb.bfs_calls) == lb
+    assert (r_lbub.visits, r_lbub.bfs_calls) == lbub
+    c = Counter()
+    upper_bound(g.adjacency_lists, h, c)
+    assert (c.visits, c.bfs_calls) == ub
+    assert _digest(r_bz.order) == bz_digest
+    assert _digest(r_lb.order) == lb_digest
+    assert np.array_equal(r_bz.core, r_lb.core)
+    assert np.array_equal(r_bz.core, r_lbub.core)
+
+
+@pytest.mark.parametrize("kernel", ["dense", "lists"])
+@pytest.mark.parametrize("decrement", ["none", "all", "at_h"])
+def test_core_decomp_leaves_keys_unchanged(decrement, kernel):
+    """Callers keep the vector they pass as ``keys``: h-LB reports its lower
+    bounds as ``extra["lb"]``, which the LB <= core checks read, so no rule
+    may write into ``keys``."""
+    g = datasets.load("coli")
+    A = g.adjacency if kernel == "dense" else g.adjacency_lists
+    n = g.n
+    if decrement == "at_h":
+        keys = lower_bounds(A, 3)[1]
+    else:
+        keys = all_h_degrees(A, np.ones(n, dtype=bool), 3)
+    before = keys.copy()
+    core = np.zeros(n, dtype=np.int64)
+    core_decomp(A, 3, 0, n, keys, np.ones(n, dtype=bool), core, decrement=decrement)
+    assert np.array_equal(keys, before)
+    assert core.any()
 
 
 def test_sparse_local_paths_never_build_the_dense_matrix():
