@@ -148,12 +148,10 @@ def test_bench_peel_us_per_peel(
     _, lb2 = lower_bounds(A, 2)
     records: list[tuple[int, int, tuple[np.ndarray, np.ndarray]]] = []
 
-    def recording(A, v, alive, h, counter=None):
-        c = Counter()
-        out = bounded_reach(A, v, alive, h, c)
-        records.append((v, c.visits, out))
-        if counter is not None:
-            counter.charge(c.visits)
+    def recording(A, v, alive, h, counter):
+        before = counter.visits
+        out = bounded_reach(A, v, alive, h, counter)
+        records.append((v, counter.visits - before, out))
         return out
 
     def peel():
@@ -170,7 +168,7 @@ def test_bench_peel_us_per_peel(
     def replay():
         calls = iter(records)
 
-        def stub(A, v, alive, h, counter=None):
+        def stub(A, v, alive, h, counter):
             src, n_visits, out = next(calls)
             assert src == v
             counter.charge(n_visits)
