@@ -1,7 +1,6 @@
 """Maximum h-club: exact solvers + the paper's Algorithm 7 core wrapper."""
 from repro.clubs.clubs import (
     ClubBudgetExceeded,
-    drop_heuristic,
     is_h_club,
     max_h_club_dbc,
     max_h_club_itdbc,
@@ -11,7 +10,6 @@ from repro.clubs.wrapper import max_h_club_with_cores
 
 __all__ = [
     "is_h_club",
-    "drop_heuristic",
     "max_h_club_dbc",
     "max_h_club_itdbc",
     "max_h_club_with_cores",

@@ -11,6 +11,8 @@ largest first, and differ only in the regions: ``max_h_club_dbc`` searches
 each whole connected component — like DBC's single monolithic IP, it blows
 up on large sparse graphs; ``max_h_club_itdbc`` searches each vertex's
 closed h-neighbourhood — like ITDBC it survives large graphs. Both are exact.
+The only seed is the starting incumbent, the caller's or else the best star;
+DESIGN.md §4.2 says why regions get no heuristic seed of their own.
 
 Every h-BFS a solver runs walks :func:`~repro.core.kernels.substrate` and is
 charged to the caller's :class:`Counter`: the same substrate, visit budget
@@ -74,27 +76,6 @@ def _far_pair(
 def is_h_club(A: Adjacency, mask: np.ndarray, h: int) -> bool:
     """True iff the induced subgraph of ``mask`` has diameter <= h."""
     return _far_pair(A, mask, h) is None
-
-
-def drop_heuristic(
-    A: Adjacency, mask: np.ndarray, h: int, counter: Counter | None = None
-) -> np.ndarray:
-    """Feasible h-club by repeatedly dropping the vertex with most far pairs.
-
-    Classic DROP heuristic (Bourjolly et al.). Each iteration drops one
-    vertex and costs |S| h-BFS traversals, so the solvers run it only on
-    regions of at most 64 vertices.
-    """
-    cur = mask.copy()
-    while int(cur.sum()) > 1:
-        # Far partners of each vertex = the rest of S minus its h-degree in G[S].
-        cnt = int(cur.sum()) - 1 - all_h_degrees(A, cur, h, counter)
-        cnt[~cur] = -1
-        worst = int(np.argmax(cnt))
-        if cnt[worst] <= 0:
-            break
-        cur[worst] = False
-    return cur
 
 
 def star_incumbent(A: Adjacency, mask: np.ndarray, h: int) -> np.ndarray:
@@ -199,10 +180,9 @@ def _search(
     ``regions(A, full, h, counter)`` gives candidate regions of the mask
     ``full``, largest first, such that every h-club lies inside one of
     them. The search starts from ``incumbent`` (else the best star inside
-    ``full``), stops at the first region no larger than the incumbent, and
-    seeds regions of at most 64 vertices with DROP. A budget cut, also one
-    raised while the regions are generated, becomes
-    :class:`ClubBudgetExceeded`.
+    ``full``), runs ``_bnb`` on each region, and stops at the first region
+    no larger than the incumbent. A budget cut, also one raised while the
+    regions are generated, becomes :class:`ClubBudgetExceeded`.
     """
     check_h(h)
     A = substrate(g)
@@ -210,13 +190,8 @@ def _search(
     best = star_incumbent(A, full, h) if incumbent is None else incumbent.copy()
     try:
         for region in regions(A, full, h, counter):
-            size = int(region.sum())
-            if size <= int(best.sum()):
+            if int(region.sum()) <= int(best.sum()):
                 break  # largest first: no later region can beat the incumbent
-            if size <= 64:
-                seed = drop_heuristic(A, region, h, counter)
-                if int(seed.sum()) > int(best.sum()):
-                    best = seed
             _bnb(A, region, h, best, counter)
     except BudgetExceeded:
         raise ClubBudgetExceeded(best) from None

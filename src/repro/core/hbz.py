@@ -7,8 +7,6 @@ The peel itself is :func:`repro.core.decomp.core_decomp` with no decrements.
 """
 from __future__ import annotations
 
-import time
-
 import numpy as np
 
 from repro.core.bounds import batch_h_degrees
@@ -24,7 +22,6 @@ from repro.graphs.graph import Graph
 def h_bz(g: Graph, h: int, counter: Counter | None = None) -> CoreResult:
     """Exact (k,h)-core decomposition by plain peeling (paper Algorithm 1)."""
     check_h(h)
-    t0 = time.monotonic()
     counter = counter if counter is not None else Counter()
     A = substrate(g)
     n = g.n
@@ -39,7 +36,6 @@ def h_bz(g: Graph, h: int, counter: Counter | None = None) -> CoreResult:
         algo="h-BZ",
         visits=counter.visits,
         bfs_calls=counter.bfs_calls,
-        runtime_s=time.monotonic() - t0,
         order=order,
         extra={"kernel": kernel_name(A)},
     )

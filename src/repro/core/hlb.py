@@ -7,7 +7,6 @@ re-computations that dominate h-BZ.
 """
 from __future__ import annotations
 
-import time
 from typing import Literal, get_args
 
 import numpy as np
@@ -37,7 +36,6 @@ def h_lb(
     check_h(h)
     if lb not in get_args(LowerBoundKind):
         raise ValueError(f"unknown lower bound {lb!r}")
-    t0 = time.monotonic()
     counter = counter if counter is not None else Counter()
     A = substrate(g)
     n = g.n
@@ -52,7 +50,6 @@ def h_lb(
         algo=f"h-LB[{lb}]" if lb != "lb2" else "h-LB",
         visits=counter.visits,
         bfs_calls=counter.bfs_calls,
-        runtime_s=time.monotonic() - t0,
         order=order,
         extra={"lb": lb_vec, "kernel": kernel_name(A)},
     )

@@ -20,7 +20,6 @@ Two execution modes reproduce the paper's §4.6 multithreading options:
 """
 from __future__ import annotations
 
-import time
 from typing import Literal, get_args
 
 import numpy as np
@@ -113,7 +112,6 @@ def h_lb_ub(
         raise ValueError(f"unknown parallel mode {parallel!r}")
     if parallel != "none" and spark is None:
         raise ValueError(f"parallel={parallel!r} requires a SparkSession")
-    t0 = time.monotonic()
     counter = counter if counter is not None else Counter()
     n = g.n
     spark_for_batches = spark if parallel == "hdegree" else None
@@ -145,8 +143,7 @@ def h_lb_ub(
         name += "[spark-hdeg]" if parallel == "hdegree" else "[spark-intervals]"
     return CoreResult(
         core=core, h=h, algo=name,
-        visits=counter.visits, bfs_calls=counter.bfs_calls,
-        runtime_s=time.monotonic() - t0, extra=extra,
+        visits=counter.visits, bfs_calls=counter.bfs_calls, extra=extra,
     )
 
 

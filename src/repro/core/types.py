@@ -16,7 +16,6 @@ class CoreResult:
         algo: algorithm name ("h-BZ", "h-LB", "h-LB+UB", ...).
         visits: total point-to-point distance computations (paper's metric).
         bfs_calls: number of h-BFS traversals executed.
-        runtime_s: wall-clock seconds of the run.
         order: vertex removal (peel) order when the algorithm produces a
             single global peeling (h-BZ and h-LB do; h-LB+UB does not).
         extra: algorithm-specific diagnostics (bounds, partition count, ...).
@@ -27,7 +26,6 @@ class CoreResult:
     algo: str
     visits: int = 0
     bfs_calls: int = 0
-    runtime_s: float = 0.0
     order: list[int] | None = None
     extra: dict = field(default_factory=dict)
 

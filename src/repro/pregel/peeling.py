@@ -13,8 +13,6 @@ h-degrees per superstep come from the Spark mapInPandas batch
 """
 from __future__ import annotations
 
-import time
-
 import numpy as np
 
 from repro.core.kernels import Counter, all_h_degrees, check_h, kernel_name, substrate
@@ -30,7 +28,6 @@ def kh_core_bsp(
 ) -> CoreResult:
     """Distributed/bulk-synchronous exact (k,h)-core decomposition."""
     check_h(h)
-    t0 = time.monotonic()
     counter = counter if counter is not None else Counter()
     # Spark tasks unpack the broadcast dense matrix; local runs pick by density.
     A = g.adjacency if spark is not None else substrate(g)
@@ -67,6 +64,5 @@ def kh_core_bsp(
         algo="BSP" + ("[spark]" if spark is not None else ""),
         visits=counter.visits,
         bfs_calls=counter.bfs_calls,
-        runtime_s=time.monotonic() - t0,
         extra={"supersteps": rounds, "kernel": kernel_name(A)},
     )

@@ -66,11 +66,15 @@ def run(
 
         def mean_err(method: str, h: int = 1) -> float:
             errs = []
+            lm = None
             for rep in range(repeats):
-                lm = select_landmarks(
-                    g, method, ell=ell, h=h,
-                    core=cores.get(h), seed=1000 * rep + h, dist=dist,
-                )
+                # Only "core" draws from the seed: every other method picks
+                # the same landmarks in each repeat, so it selects them once.
+                if lm is None or method == "core":
+                    lm = select_landmarks(
+                        g, method, ell=ell, h=h,
+                        core=cores.get(h), seed=1000 * rep + h, dist=dist,
+                    )
                 errs.append(
                     estimate_error(g, lm, n_pairs=n_pairs, seed=rep, dist=dist)
                 )

@@ -6,7 +6,6 @@ import pytest
 
 from repro.clubs import (
     ClubBudgetExceeded,
-    drop_heuristic,
     is_h_club,
     max_h_club_dbc,
     max_h_club_itdbc,
@@ -106,14 +105,6 @@ def test_star_incumbent_h1_edge(path_graph):
         assert is_h_club(A, s, 1)
 
 
-def test_drop_heuristic_feasible():
-    g = erdos_renyi(16, 0.2, seed=3)
-    clubs = [drop_heuristic(A, np.ones(g.n, bool), 2) for A in _substrates(g)]
-    assert np.array_equal(clubs[0], clubs[1])
-    assert is_h_club(g.adjacency, clubs[0], 2)
-    assert clubs[0].any()
-
-
 def test_wrapper_stops_at_theorem3_bound():
     """A club of |best| >= k* vertices found in the k*-core is optimal, and
     otherwise a larger one lies in the |best|-core: at most two calls."""
@@ -192,6 +183,26 @@ def test_sparse_solvers_match_dense_and_stay_off_the_matrix(name, h, monkeypatch
         assert np.array_equal(solve(c), club), label
         assert (c.visits, c.bfs_calls) == (visits, calls), label
     assert dense._adj is not None
+
+
+# rnPA, precomputed h-LB+UB decomposition: solver -> (club size, visits,
+# BFS calls). Pins the search's cost, not only its answer.
+RNPA_CLUB_COSTS = {
+    2: {"dbc": (12, 18424, 1444), "itdbc": (12, 35602, 3264),
+        "a7+dbc": (12, 0, 0), "a7+itdbc": (12, 154, 12)},
+    3: {"dbc": (14, 45804, 1545), "itdbc": (14, 469089, 23119),
+        "a7+dbc": (14, 648, 28), "a7+itdbc": (14, 972, 42)},
+}
+
+
+@pytest.mark.parametrize("h", [2, 3])
+def test_search_cost_golden_rnpa(h):
+    g = DATASETS["rnPA"]()
+    for label, solve in _club_solvers(g, h).items():
+        c = Counter()
+        club = solve(c)
+        got = (int(club.sum()), c.visits, c.bfs_calls)
+        assert got == RNPA_CLUB_COSTS[h][label], label
 
 
 def test_wrapper_charges_its_own_decomposition():

@@ -83,3 +83,19 @@ def test_table7_fast():
     assert "caHe" in errs.columns
     assert ((errs["caHe"].dropna() >= 0) & (errs["caHe"].dropna() <= 2)).all()
     assert len(cores) >= 2
+
+
+def test_table7_selects_deterministic_landmarks_once(monkeypatch):
+    """Only the "core" selector draws from the seed, so it alone is called
+    once per repeat; "cc", "bc" and each "hdeg" run once per dataset."""
+    calls = []
+
+    def spy(g, method, ell=20, h=1, **kw):
+        calls.append((method, h))
+        return np.arange(ell)
+
+    monkeypatch.setattr(table7, "select_landmarks", spy)
+    table7.run(fast=True)  # caHe, h in {1, 2}, 2 repeats
+    assert calls.count(("bc", 1)) == 1 and calls.count(("cc", 1)) == 1
+    assert calls.count(("hdeg", 1)) == calls.count(("hdeg", 2)) == 1
+    assert calls.count(("core", 1)) == calls.count(("core", 2)) == 2
