@@ -6,9 +6,12 @@
     LB3(v) = max(LB2(v), min h-degree in G[V[k]])   (Property 3, Algorithm 6)
 
 LB1, LB2 and UB are computed on the full graph G[V]; LB3 on the subgraph
-G[V[k]] of one h-LB+UB partition. ``batch_h_degrees`` is the block the paper
-multithreads (§4.6); passing a SparkSession fans the h-BFS batch out over the
-cluster via mapInPandas (see repro.pregel.hdegree).
+G[V[k]] of one h-LB+UB partition. When ImproveLB is told which vertices of
+V[k] higher partitions already assigned, the minimum is taken over the
+unassigned ones only; it is the same minimum whenever any is unassigned (see
+:func:`improve_lb`). ``batch_h_degrees`` is the block the paper multithreads
+(§4.6); passing a SparkSession fans the h-BFS batch out over the cluster via
+mapInPandas (see repro.pregel.hdegree).
 """
 from __future__ import annotations
 
@@ -24,17 +27,19 @@ def batch_h_degrees(
     h: int,
     counter: Counter | None = None,
     spark=None,
+    sources: np.ndarray | None = None,
 ) -> np.ndarray:
-    """h-degrees of every alive vertex; Spark-parallel when a session is given
-    (the Spark fan-out broadcasts ``A``, so it must then be the dense matrix)."""
+    """h-degrees in G[alive] of every source (default: every alive vertex);
+    Spark-parallel when a session is given (the Spark fan-out broadcasts
+    ``A``, so it must then be the dense matrix)."""
     if spark is not None:
         from repro.pregel.hdegree import h_degrees_spark
 
-        degs, visits, calls = h_degrees_spark(spark, A, alive, h)
+        degs, visits, calls = h_degrees_spark(spark, A, alive, h, sources)
         if counter is not None:
             counter.merge_batch(visits, calls)
         return degs
-    return all_h_degrees(A, alive, h, counter)
+    return all_h_degrees(A, alive, h, counter, sources)
 
 
 def lower_bounds(
@@ -98,27 +103,45 @@ def improve_lb(
     lb2: np.ndarray,
     counter: Counter | None = None,
     spark=None,
+    assigned: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Algorithm 6 — ImproveLB: clean V[k] and tighten the lower bound.
 
-    Computes h-degrees on G[V[k]]; LB3(v) = max(LB2(v), min h-degree over
-    V[k]) by Property 3 (computed before cleaning, as in the paper). Then it
-    peels every vertex whose h-degree falls below kmin with the rule of
+    Computes h-degrees on G[V[k]]; LB3(v) = max(LB2(v), min h-degree) by
+    Property 3 (computed before cleaning, as in the paper). Then it peels
+    every vertex whose h-degree falls below kmin with the rule of
     Algorithm 5: each deletion only decrements its h-neighbours by 1, giving
     an upper bound on their true h-degree, so any vertex dropping below kmin
     certainly does not belong to the partition.
 
+    ``assigned`` marks the vertices higher partitions already assigned, each
+    with a core index above kmax. The paper runs an h-BFS from every vertex
+    of V[k]; given ``assigned``, only the rest are sources. The result is the
+    same:
+
+    - An assigned u lies in its own (core(u),h)-core C, which lies in V[k].
+      So u's h-degree in G[V[k]] is at least core(u), above kmax, and if u
+      held the minimum, all of V[k] would be in the (kmax+1,h)-core and
+      already assigned. The minimum over the sources is the paper's.
+    - The cleaning never removes a vertex of the (kmin,h)-core, which holds
+      C. So u loses at most |V[k]| - |C| <= |V[k]| - 1 - core(u) decrements,
+      and key n keeps it above core(u) >= kmin: u stays alive as an
+      intermediate vertex and is never peeled.
+
     Returns ``(vk, lb3)``: the cleaned mask and per-vertex LB3 (0 outside
-    V[k]).
+    the sources).
     """
     n = len(A)
     vk = vk.copy()
-    degs = batch_h_degrees(A, vk, h, counter, spark)
+    sources = vk if assigned is None else vk & ~assigned
     lb3 = np.zeros(n, dtype=np.int64)
-    ids = np.flatnonzero(vk)
+    ids = np.flatnonzero(sources)
     if len(ids) == 0:
         return vk, lb3
+    degs = batch_h_degrees(A, vk, h, counter, spark, sources)
     lb3[ids] = np.maximum(lb2[ids], int(degs[ids].min()))
+    if assigned is not None:
+        degs[vk & assigned] = n
     # The peel's core indexes (all below kmin) are not needed.
     core_decomp(A, h, 0, kmin - 1, degs, vk, np.zeros(n, dtype=np.int64), counter,
                 decrement="all")

@@ -8,6 +8,12 @@ ImproveLB (Algorithm 6) cleans V[k] and tightens the lower bound to LB3, and
 CoreDecomp (Algorithm 3) peels what is left. The bounds live in
 :mod:`repro.core.bounds` and both peels in :mod:`repro.core.decomp`.
 
+By default ImproveLB carries the top-down reuse into its batch: it runs an
+h-BFS only from the vertices of V[k] that no higher partition has assigned
+(still over the whole of G[V[k]]), which leaves the cleaned V[k], LB3 and
+every core unchanged (see :func:`repro.core.bounds.improve_lb`).
+``improve="all"`` runs the paper's batch from every vertex of V[k].
+
 Two execution modes reproduce the paper's §4.6 multithreading options:
 
 - ``parallel="hdegree"`` (paper's shipped choice): the batch h-degree
@@ -16,7 +22,8 @@ Two execution modes reproduce the paper's §4.6 multithreading options:
 - ``parallel="intervals"`` (paper's option 1): each interval runs as an
   independent Spark task (applyInPandas over the interval DataFrame); the
   top-down knowledge (already-assigned cores, accumulated LB3) is forfeited,
-  which is exactly the trade-off the paper describes.
+  which is exactly the trade-off the paper describes. Its tasks start with
+  no assigned vertex, so their ImproveLB runs the paper's batch.
 """
 from __future__ import annotations
 
@@ -35,6 +42,7 @@ from repro.graphs.graph import Graph, pack_adjacency, unpack_adjacency
 
 ParallelMode = Literal["none", "hdegree", "intervals"]
 UpperBoundKind = Literal["ub", "hdegree"]
+ImproveRule = Literal["unassigned", "all"]
 
 
 def build_intervals(ub: np.ndarray, lb2: np.ndarray, s: int) -> list[tuple[int, int]]:
@@ -66,19 +74,28 @@ def _run_interval(
     lb3_acc: np.ndarray,
     counter: Counter | None,
     spark=None,
-) -> None:
+    improve: ImproveRule = "unassigned",
+) -> dict:
     """Process one partition (Algorithm 4 lines 12–18); mutates core.
 
     ``core`` holds the indexes earlier (higher) partitions assigned and 0
-    for every vertex still unassigned.
+    for every vertex still unassigned. Returns the partition's record:
+    |V[k]| before and after cleaning, and how many h-BFS ImproveLB ran and
+    skipped.
     """
-    vk = ub >= kmin
-    vk, lb3_star = improve_lb(A, h, vk, kmin, lb2, counter, spark)
-    if not vk.any():
-        return
-    lb3_acc[vk] = np.maximum(lb3_acc[vk], lb3_star[vk])
-    keys = np.maximum(np.maximum(core, lb3_acc), kmin - 1)
-    core_decomp(A, h, kmin, kmax, keys, vk, core, counter)
+    vk0 = ub >= kmin
+    assigned = core > 0 if improve == "unassigned" else None
+    vk, lb3_star = improve_lb(A, h, vk0, kmin, lb2, counter, spark, assigned)
+    vk_in = int(np.count_nonzero(vk0))
+    skipped = 0 if assigned is None else int(np.count_nonzero(vk0 & assigned))
+    rec = {"kmin": kmin, "kmax": kmax, "vk_in": vk_in,
+           "vk_out": int(np.count_nonzero(vk)), "bfs_ran": vk_in - skipped,
+           "bfs_skipped": skipped}
+    if vk.any():
+        lb3_acc[vk] = np.maximum(lb3_acc[vk], lb3_star[vk])
+        keys = np.maximum(np.maximum(core, lb3_acc), kmin - 1)
+        core_decomp(A, h, kmin, kmax, keys, vk, core, counter)
+    return rec
 
 
 def h_lb_ub(
@@ -89,6 +106,7 @@ def h_lb_ub(
     spark=None,
     parallel: ParallelMode = "none",
     ub_kind: UpperBoundKind = "ub",
+    improve: ImproveRule = "unassigned",
 ) -> CoreResult:
     """Exact (k,h)-core decomposition with lower+upper bounds (Algorithm 4).
 
@@ -104,10 +122,21 @@ def h_lb_ub(
            sub-computations as Spark tasks); both Spark modes need ``spark``.
         ub_kind: "ub" = Algorithm 5's power-graph bound (the paper's h-LB+UB);
            "hdegree" = the plain h-degree baseline bound (Table 5 ablation).
+        improve: "unassigned" (default) = ImproveLB runs an h-BFS only from
+           the vertices of V[k] no higher partition has assigned; "all" =
+           the paper's Algorithm 6 batch from every vertex of V[k] (Tables 3
+           and 5). Cores are the same; only visits and BFS calls differ.
+
+    ``extra["partitions"]`` holds one record per interval of the sequential
+    sweep (the intervals mode keeps none): kmin, kmax, |V[k]| before and
+    after cleaning (``vk_in``, ``vk_out``) and the h-BFS ImproveLB ran and
+    skipped (``bfs_ran + bfs_skipped == vk_in``).
     """
     check_h(h)
     if ub_kind not in get_args(UpperBoundKind):
         raise ValueError(f"unknown upper bound {ub_kind!r}")
+    if improve not in get_args(ImproveRule):
+        raise ValueError(f"unknown ImproveLB rule {improve!r}")
     if parallel not in get_args(ParallelMode):
         raise ValueError(f"unknown parallel mode {parallel!r}")
     if parallel != "none" and spark is None:
@@ -128,16 +157,18 @@ def h_lb_ub(
         s = max(1, -(-n_ub_values // 12))  # ceil division: ~12 partitions
     intervals = build_intervals(ub, lb2, s)
 
-    extra = {"intervals": intervals, "ub": ub, "lb2": lb2, "kernel": kernel_name(A)}
+    extra = {"intervals": intervals, "ub": ub, "lb2": lb2, "kernel": kernel_name(A),
+             "improve": improve}
     if parallel == "intervals":
         core, extra["tasks"] = _run_intervals_spark(spark, g, h, intervals, ub, lb2)
     else:
         core = np.zeros(n, dtype=np.int64)
         lb3_acc = np.zeros(n, dtype=np.int64)
-        for kmin, kmax in intervals:
-            _run_interval(
-                A, h, kmin, kmax, ub, lb2, core, lb3_acc, counter, spark_for_batches,
-            )
+        extra["partitions"] = [
+            _run_interval(A, h, kmin, kmax, ub, lb2, core, lb3_acc, counter,
+                          spark_for_batches, improve)
+            for kmin, kmax in intervals
+        ]
     name = "h-LB+UB" if ub_kind == "ub" else "h-LB+UB[hdeg]"
     if parallel != "none":
         name += "[spark-hdeg]" if parallel == "hdegree" else "[spark-intervals]"

@@ -229,17 +229,19 @@ def all_h_degrees(
     alive: np.ndarray,
     h: int,
     counter: Counter | None = None,
+    sources: np.ndarray | None = None,
 ) -> np.ndarray:
-    """h-degrees of every alive vertex.
+    """h-degrees in G[alive] of every vertex of ``sources`` (default: alive).
 
-    Returns a full-length int64 array; entries for dead vertices are 0.
-    For h = 0 every entry is 0, and each alive vertex still costs one BFS
-    call of 0 visits (see :func:`bounded_reach`). This is the batch the
-    paper parallelizes in §4.6 — the Spark fan-out lives in
+    ``sources`` must lie within ``alive``; each source costs one h-BFS over
+    the whole of G[alive]. Returns a full-length int64 array; entries for
+    non-sources are 0. For h = 0 every entry is 0, and each source still
+    costs one BFS call of 0 visits (see :func:`bounded_reach`). This is the
+    batch the paper parallelizes in §4.6 — the Spark fan-out lives in
     :mod:`repro.pregel.hdegree` and produces identical values (tested).
     """
     out = np.zeros(len(A), dtype=np.int64)
-    ids = np.flatnonzero(alive)
+    ids = np.flatnonzero(alive if sources is None else sources)
     out[ids] = [
         _count_nonzero(bounded_reach(A, v, alive, h, counter)[0]) for v in ids.tolist()
     ]

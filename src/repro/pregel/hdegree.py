@@ -22,8 +22,10 @@ def h_degrees_spark(
     A: np.ndarray,
     alive: np.ndarray,
     h: int,
+    sources: np.ndarray | None = None,
 ) -> tuple[np.ndarray, int, int]:
-    """Batch h-degrees of all alive vertices via mapInPandas fan-out.
+    """Batch h-degrees in G[alive] of the ``sources`` (default: every alive
+    vertex) via mapInPandas fan-out; only the sources become task rows.
 
     Returns ``(degrees, visits, bfs_calls)`` where visits/bfs_calls account
     the remote BFS work for the caller's Counter (paper's Table-3 metric).
@@ -34,7 +36,7 @@ def h_degrees_spark(
     sc = spark.sparkContext
     b_adj = sc.broadcast(pack_adjacency(A))
     b_alive = sc.broadcast(np.packbits(alive).tobytes())
-    ids = np.flatnonzero(alive)
+    ids = np.flatnonzero(alive if sources is None else sources)
     if len(ids) == 0:
         return np.zeros(n, dtype=np.int64), 0, 0
     parts = min(int(sc.defaultParallelism), max(1, len(ids) // 64))

@@ -5,6 +5,7 @@ import pytest
 
 from repro.core.bounds import batch_h_degrees, improve_lb, lower_bounds, upper_bound
 from repro.core.hlbub import build_intervals
+from repro.core.kernels import Counter
 from repro.core.reference import (
     brute_force_cores,
     classic_core_decomposition,
@@ -141,3 +142,10 @@ def test_batch_h_degrees_respects_alive():
     degs = batch_h_degrees(A, alive, 2)
     assert (degs[:5] == 0).all()
     assert degs[alive].max() <= int(alive.sum()) - 1
+    # A sources mask picks which vertices get a BFS; each still runs over
+    # the whole of G[alive].
+    sources = alive & (np.arange(g.n) % 3 == 0)
+    c = Counter()
+    part = batch_h_degrees(A, alive, 2, c, sources=sources)
+    assert np.array_equal(part, np.where(sources, degs, 0))
+    assert c.bfs_calls == int(sources.sum())

@@ -195,10 +195,13 @@ def test_golden_counts_coli_h3():
     """Pin the paper's metric: any change to visits, BFS calls or the peel
     order (coloring consumes it) on a fixed dataset cell shows up here."""
     g = datasets.load("coli")
-    bz, lb, lbub = h_bz(g, 3), h_lb(g, 3), h_lb_ub(g, 3)
+    bz, lb, lbub = h_bz(g, 3), h_lb(g, 3), h_lb_ub(g, 3, improve="all")
+    lbub_plus = h_lb_ub(g, 3)
     assert (bz.visits, bz.bfs_calls) == (2_682_312, 10_442)
     assert (lb.visits, lb.bfs_calls) == (236_938, 2_309)
     assert (lbub.visits, lbub.bfs_calls) == (722_220, 5_444)
+    assert (lbub_plus.visits, lbub_plus.bfs_calls) == (216_370, 2_914)
+    assert np.array_equal(lbub.core, lbub_plus.core)
     c = Counter()
     upper_bound(g.adjacency, 3, c)
     assert (c.visits, c.bfs_calls) == (63_637, 656)
@@ -237,27 +240,35 @@ def test_golden_counts_coli_h3_both_kernels(kernel, monkeypatch):
     assert (c.visits, c.bfs_calls) == (11_804, 328)
     assert _digest(order) == "6bd79123c936a552"
     monkeypatch.setattr(hlbub_mod, "substrate", lambda _: A)
-    lbub = h_lb_ub(g, 3)
+    lbub = h_lb_ub(g, 3, improve="all")
     assert lbub.extra["kernel"] == kernel
     assert (lbub.visits, lbub.bfs_calls) == (722_220, 5_444)  # h-LB+UB
     assert np.array_equal(core, lbub.core)
+    lbub = h_lb_ub(g, 3)
+    assert (lbub.visits, lbub.bfs_calls) == (216_370, 2_914)  # ImproveLB skips
+    assert np.array_equal(core, lbub.core)
 
 
-@pytest.mark.parametrize("name,h,bz,lb,lbub,ub,bz_digest,lb_digest", [
+@pytest.mark.parametrize("name,h,bz,lb,lbub,lbub_plus,ub,bz_digest,lb_digest", [
     ("amzn", 2, (1_023_010, 19_947), (151_547, 11_467), (406_456, 20_693),
-     (84_769, 4_000), "7e1975548d00c85c", "d634a35612046973"),
+     (299_723, 18_085), (84_769, 4_000), "7e1975548d00c85c", "d634a35612046973"),
     ("rnPA", 4, (928_417, 20_722), (584_239, 16_290), (1_272_661, 29_988),
-     (114_212, 2_888), "039eb488137aa122", "4c155d3fa682d9ed"),
+     (810_125, 21_895), (114_212, 2_888), "039eb488137aa122", "4c155d3fa682d9ed"),
 ], ids=["amzn-h2", "rnPA-h4"])
-def test_golden_counts_sparse_road(name, h, bz, lb, lbub, ub, bz_digest, lb_digest):
+def test_golden_counts_sparse_road(name, h, bz, lb, lbub, lbub_plus, ub, bz_digest,
+                                   lb_digest):
     """Golden counts and peel orders on two list-substrate cells of khbench's
-    sparse-road workload (seed 0), where the engine's per-peel cost shows."""
+    sparse-road workload (seed 0), where the engine's per-peel cost shows.
+    ``lbub`` is the paper's ImproveLB batch, ``lbub_plus`` the default rule."""
     g = datasets.load(name)
-    r_bz, r_lb, r_lbub = h_bz(g, h), h_lb(g, h), h_lb_ub(g, h)
+    r_bz, r_lb = h_bz(g, h), h_lb(g, h)
+    r_lbub, r_plus = h_lb_ub(g, h, improve="all"), h_lb_ub(g, h)
     assert r_bz.extra["kernel"] == "lists"
     assert (r_bz.visits, r_bz.bfs_calls) == bz
     assert (r_lb.visits, r_lb.bfs_calls) == lb
     assert (r_lbub.visits, r_lbub.bfs_calls) == lbub
+    assert (r_plus.visits, r_plus.bfs_calls) == lbub_plus
+    assert np.array_equal(r_lbub.core, r_plus.core)
     c = Counter()
     upper_bound(g.adjacency_lists, h, c)
     assert (c.visits, c.bfs_calls) == ub

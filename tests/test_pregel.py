@@ -3,6 +3,7 @@ driver kernel), BSP decomposition, Spark-parallel h-LB+UB."""
 import numpy as np
 import pytest
 
+import repro.pregel.hdegree as hdegree_mod
 from repro.core import h_bz, h_lb, h_lb_ub
 from repro.core.kernels import Counter, all_h_degrees, bounded_reach
 from repro.core.reference import brute_force_cores
@@ -72,11 +73,27 @@ def test_hlbub_spark_intervals_label_keeps_ub_kind(spark):
     assert res.extra["tasks"] == len(res.extra["intervals"])
 
 
-def test_hlbub_spark_hdegree_matches(spark):
-    g = erdos_renyi(30, 0.15, seed=7)
-    ref = brute_force_cores(g, 2)
+def test_hlbub_spark_hdegree_matches(spark, monkeypatch):
+    """Fanned-out batches give the local run's cores, visits and BFS calls, and
+    each ImproveLB batch sends Spark only the vertices still unassigned."""
+    g = barabasi_albert(60, 3, seed=7)
+    local = h_lb_ub(g, 2)
+    assert np.array_equal(local.core, brute_force_cores(g, 2))
+    batches = []
+    real = hdegree_mod.h_degrees_spark
+
+    def spy(spark, A, alive, h, sources=None):
+        batches.append(int((alive if sources is None else sources).sum()))
+        return real(spark, A, alive, h, sources)
+
+    monkeypatch.setattr(hdegree_mod, "h_degrees_spark", spy)
     res = h_lb_ub(g, 2, spark=spark, parallel="hdegree")
-    assert np.array_equal(res.core, ref)
+    assert np.array_equal(res.core, local.core)
+    assert (res.visits, res.bfs_calls) == (local.visits, local.bfs_calls)
+    parts = local.extra["partitions"]
+    # deg0 and LB1 over all n, then one batch per partition with a source.
+    assert batches == [g.n, g.n] + [p["bfs_ran"] for p in parts if p["bfs_ran"]]
+    assert any(p["bfs_skipped"] for p in parts)
 
 
 def test_spark_paths_on_sparse_graph(spark):
@@ -101,7 +118,8 @@ def test_hlbub_parallel_intervals_requires_spark():
     with pytest.raises(ValueError):
         h_lb_ub(g, 2, parallel="intervals")
     # A misspelt or Spark-less mode must not run something else under its name.
-    for kw in ({"parallel": "hdegree"}, {"parallel": "interval"}, {"ub_kind": "UB"}):
+    for kw in ({"parallel": "hdegree"}, {"parallel": "interval"}, {"ub_kind": "UB"},
+               {"improve": "paper"}):
         with pytest.raises(ValueError):
             h_lb_ub(g, 2, **kw)
     for lb in ("LB2", "none"):

@@ -42,9 +42,13 @@ def test_table2_fast():
 
 def test_table3_fast():
     df = table3.run(fast=True)
-    assert set(df["algo"]) == {"h-BZ", "h-LB", "h-LB+UB"}
+    assert set(df["algo"]) == {"h-BZ", "h-LB", "h-LB+UB", "h-LB+UB+"}
     vis = df.set_index("algo")["visits h=2"]
     assert vis["h-LB"] <= vis["h-BZ"]  # the bounds must pay off
+    # Skipping settled vertices only removes ImproveLB's BFS.
+    assert vis["h-LB+UB+"] < vis["h-LB+UB"]
+    plus = df.set_index("algo").loc["h-LB+UB+"]
+    assert plus["paper time h=2"] == plus["paper visits(x1e8) h=2"] == "-"
 
 
 def test_table4_fast():
