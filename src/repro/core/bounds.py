@@ -6,12 +6,12 @@
     LB3(v) = max(LB2(v), min h-degree in G[V[k]])   (Property 3, Algorithm 6)
 
 LB1, LB2 and UB are computed on the full graph G[V]; LB3 on the subgraph
-G[V[k]] of one h-LB+UB partition. When ImproveLB is told which vertices of
-V[k] higher partitions already assigned, the minimum is taken over the
-unassigned ones only; it is the same minimum whenever any is unassigned (see
-:func:`improve_lb`). ``batch_h_degrees`` is the block the paper multithreads
-(§4.6); passing a SparkSession fans the h-BFS batch out over the cluster via
-mapInPandas (see repro.pregel.hdegree).
+G[V[k]] of one h-LB+UB partition. ImproveLB takes the minimum over the
+vertices of V[k] that higher partitions have not assigned; it is the same
+minimum whenever any is unassigned (see :func:`improve_lb`).
+``batch_h_degrees`` is the block the paper multithreads (§4.6); passing a
+SparkSession fans the h-BFS batch out over the cluster via mapInPandas (see
+repro.pregel.hdegree).
 """
 from __future__ import annotations
 
@@ -50,18 +50,17 @@ def lower_bounds(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Compute (LB1, LB2) for every vertex on the full graph.
 
-    For h=1 both bounds degenerate to 0 (⌊1/2⌋ = 0): h-LB then behaves like
-    h-BZ with one extra recomputation per vertex, matching the paper's scope
-    (its bounds target h > 1).
+    For h=1 both bounds degenerate to 0 (⌊1/2⌋ = 0) and no h-BFS runs: h-LB
+    then behaves like h-BZ with one extra recomputation per vertex, matching
+    the paper's scope (its bounds target h > 1).
     """
     n = len(A)
-    alive = np.ones(n, dtype=bool)
     h_lo = h // 2
     h_hi = (h + 1) // 2
     if h_lo == 0:
-        lb1 = np.zeros(n, dtype=np.int64)
-    else:
-        lb1 = batch_h_degrees(A, alive, h_lo, counter, spark)
+        return np.zeros(n, dtype=np.int64), np.zeros(n, dtype=np.int64)
+    alive = np.ones(n, dtype=bool)
+    lb1 = batch_h_degrees(A, alive, h_lo, counter, spark)
     # LB1 >= 0, so an empty reach's max of 0 leaves LB2(v) = LB1(v).
     reach_max = [lb1[bounded_reach(A, v, alive, h_hi, counter)[0]].max(initial=0)
                  for v in range(n)]
@@ -101,9 +100,9 @@ def improve_lb(
     vk: np.ndarray,
     kmin: int,
     lb2: np.ndarray,
+    assigned: np.ndarray,
     counter: Counter | None = None,
     spark=None,
-    assigned: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Algorithm 6 — ImproveLB: clean V[k] and tighten the lower bound.
 
@@ -115,9 +114,9 @@ def improve_lb(
     certainly does not belong to the partition.
 
     ``assigned`` marks the vertices higher partitions already assigned, each
-    with a core index above kmax. The paper runs an h-BFS from every vertex
-    of V[k]; given ``assigned``, only the rest are sources. The result is the
-    same:
+    with a core index above kmax; only the rest of V[k] are sources. The
+    paper runs an h-BFS from every vertex of V[k], which is the all-False
+    mask. The result is the same:
 
     - An assigned u lies in its own (core(u),h)-core C, which lies in V[k].
       So u's h-degree in G[V[k]] is at least core(u), above kmax, and if u
@@ -133,15 +132,14 @@ def improve_lb(
     """
     n = len(A)
     vk = vk.copy()
-    sources = vk if assigned is None else vk & ~assigned
+    sources = vk & ~assigned
     lb3 = np.zeros(n, dtype=np.int64)
     ids = np.flatnonzero(sources)
     if len(ids) == 0:
         return vk, lb3
     degs = batch_h_degrees(A, vk, h, counter, spark, sources)
     lb3[ids] = np.maximum(lb2[ids], int(degs[ids].min()))
-    if assigned is not None:
-        degs[vk & assigned] = n
+    degs[vk & assigned] = n
     # The peel's core indexes (all below kmin) are not needed.
     core_decomp(A, h, 0, kmin - 1, degs, vk, np.zeros(n, dtype=np.int64), counter,
                 decrement="all")

@@ -84,10 +84,10 @@ def _run_interval(
     skipped.
     """
     vk0 = ub >= kmin
-    assigned = core > 0 if improve == "unassigned" else None
-    vk, lb3_star = improve_lb(A, h, vk0, kmin, lb2, counter, spark, assigned)
+    assigned = core > 0 if improve == "unassigned" else np.zeros(len(core), dtype=bool)
+    vk, lb3_star = improve_lb(A, h, vk0, kmin, lb2, assigned, counter, spark)
     vk_in = int(np.count_nonzero(vk0))
-    skipped = 0 if assigned is None else int(np.count_nonzero(vk0 & assigned))
+    skipped = int(np.count_nonzero(vk0 & assigned))
     rec = {"kmin": kmin, "kmax": kmax, "vk_in": vk_in,
            "vk_out": int(np.count_nonzero(vk)), "bfs_ran": vk_in - skipped,
            "bfs_skipped": skipped}

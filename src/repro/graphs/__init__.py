@@ -1,4 +1,4 @@
-"""Graph substrate: in-memory graphs, generators, datasets, metrics, Spark layer."""
+"""Graph substrate: in-memory graphs, generators, datasets, metrics."""
 from repro.graphs.graph import Graph
 
 __all__ = ["Graph"]

@@ -116,7 +116,7 @@ class Graph:
         return Graph.from_edges(len(ids), sub_edges), ids
 
     def both_directions(self) -> np.ndarray:
-        """Edge array with both (u, v) and (v, u) rows — for Spark edge frames."""
+        """Edges with both (u, v) and (v, u) rows; `adjacency_lists` sorts them."""
         return np.concatenate([self.edges, self.edges[:, ::-1]], axis=0)
 
 

@@ -1,8 +1,4 @@
-"""Graph metrics for Table 1: degree statistics and exact diameter.
-
-Degree statistics have both a local (NumPy) and a Spark SQL implementation;
-the Spark one is oracle-checked against DuckDB in the test suite.
-"""
+"""Graph metrics for Table 1: degree statistics and exact diameter."""
 from __future__ import annotations
 
 from dataclasses import dataclass
@@ -35,7 +31,7 @@ def diameter(g: Graph) -> int:
 
 
 def graph_stats(g: Graph) -> GraphStats:
-    """All Table-1 statistics computed locally."""
+    """All Table-1 statistics."""
     deg = g.degrees
     return GraphStats(
         n=g.n,
@@ -45,17 +41,3 @@ def graph_stats(g: Graph) -> GraphStats:
         diameter=diameter(g),
     )
 
-
-def degree_stats_spark(spark, g: Graph) -> tuple[float, int]:
-    """(avg degree, max degree) via Spark SQL over the edge DataFrame.
-
-    Counting both edge directions per vertex gives the undirected degree.
-    """
-    from repro.graphs.spark_graph import degrees_df, edges_to_df
-
-    edges = edges_to_df(spark, g)
-    row = degrees_df(edges).agg({"degree": "max"}).collect()[0]
-    max_deg = int(row[0]) if row[0] is not None else 0
-    total = edges.count()  # = 2m
-    avg = total / g.n if g.n else 0.0
-    return float(avg), max_deg

@@ -40,16 +40,16 @@ def betweenness_centrality(g: Graph) -> np.ndarray:
         sigma[s] = 1.0
         dist = np.full(n, -1, dtype=np.int64)
         dist[s] = 0
-        order: list[int] = []
-        queue = [s]
+        order = [s]  # the BFS order is also its FIFO queue; ``head`` is the front
         preds: list[list[int]] = [[] for _ in range(n)]
-        while queue:
-            v = queue.pop(0)
-            order.append(v)
+        head = 0
+        while head < len(order):
+            v = order[head]
+            head += 1
             for w in adj[v]:
                 if dist[w] < 0:
                     dist[w] = dist[v] + 1
-                    queue.append(w)
+                    order.append(w)
                 if dist[w] == dist[v] + 1:
                     sigma[w] += sigma[v]
                     preds[w].append(v)

@@ -1,8 +1,7 @@
 """Regenerate one evaluation table: ``python -m repro.tables N`` (N = 1..7).
 
 Runs ``repro.tables.tableN.run`` over the full sweep and prints the table
-with the paper's numbers alongside ours. Only Table 1 uses Spark, so only it
-starts a local SparkSession.
+with the paper's numbers alongside ours. No table starts a SparkSession.
 """
 import argparse
 import importlib
@@ -32,25 +31,7 @@ def main(argv: list[str] | None = None) -> None:
     parser.add_argument("table", type=int, choices=sorted(TITLES))
     n = parser.parse_args(argv).table
     run = importlib.import_module(f"repro.tables.table{n}").run
-    if n == 1:
-        from pyspark.sql import SparkSession
-
-        spark = (
-            SparkSession.builder.appName("table1")
-            .master("local[*]")
-            .config("spark.sql.shuffle.partitions", "64")
-            .config("spark.sql.execution.arrow.pyspark.enabled", "true")
-            .config("spark.sql.autoBroadcastJoinThreshold", -1)
-            .config("spark.driver.host", "127.0.0.1")
-            .config("spark.ui.enabled", "false")
-            .getOrCreate()
-        )
-        try:
-            out = run(spark=spark)
-        finally:
-            spark.stop()
-    else:
-        out = run()
+    out = run()
     if n == 7:
         errors, cores = out
         emit(TITLES[7], errors.reset_index(names="selector"))

@@ -4,7 +4,7 @@ The paper reports NT when an algorithm does not terminate within 20 hours;
 we mark NT when a run passes a wall-clock cap or a visit budget (DESIGN.md
 §4, substitution 3). The visit budget sits far above every finished cell, so
 the wall clock decides every NT and NT follows the host's speed; ROADMAP
-item 8 plans a host-independent rule.
+item 11 plans a host-independent rule.
 """
 from __future__ import annotations
 

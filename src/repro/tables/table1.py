@@ -1,31 +1,26 @@
 """Table 1 — characteristics of the datasets used.
 
 Columns: |V|, |E|, average degree, max degree, diameter — for our synthetic
-analogues, with the paper's originals alongside. Degree statistics are
-computed twice when a SparkSession is given (NumPy and Spark SQL) and must
-agree; the Spark SQL path is oracle-checked against DuckDB in the tests.
+analogues, with the paper's originals alongside, all from
+``graphs.metrics.graph_stats``.
 """
 from __future__ import annotations
 
 import pandas as pd
 
 from repro.graphs.datasets import DATASETS, PAPER_TABLE1, load
-from repro.graphs.metrics import degree_stats_spark, graph_stats
+from repro.graphs.metrics import graph_stats
 
 FAST_DATASETS = ["coli", "jazz"]
 
 
-def run(spark=None, fast: bool = False) -> pd.DataFrame:
+def run(fast: bool = False) -> pd.DataFrame:
     """Build the Table-1 analogue (ours vs paper)."""
     rows = []
     names = FAST_DATASETS if fast else list(DATASETS)
     for name in names:
         g = load(name)
         s = graph_stats(g)
-        if spark is not None:
-            avg_sp, max_sp = degree_stats_spark(spark, g)
-            assert abs(avg_sp - s.avg_deg) < 1e-9, (name, avg_sp, s.avg_deg)
-            assert max_sp == s.max_deg, (name, max_sp, s.max_deg)
         pv, pe, pavg, pmax, pdiam = PAPER_TABLE1[name]
         rows.append(
             {

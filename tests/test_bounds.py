@@ -64,9 +64,12 @@ def test_lb1_is_half_h_degree(star_graph):
 
 
 def test_lower_bounds_h1_degenerate():
+    """At h=1 both bounds are 0 (⌊1/2⌋ = 0), so no h-BFS is charged."""
     g = small_graph("er", 0)
-    lb1, lb2 = lower_bounds(g.adjacency, 1)
+    c = Counter()
+    lb1, lb2 = lower_bounds(g.adjacency, 1, c)
     assert (lb1 == 0).all() and (lb2 == 0).all()
+    assert (c.bfs_calls, c.visits) == (0, 0)
 
 
 def test_build_intervals_matches_example4():
@@ -107,7 +110,7 @@ def test_improve_lb_is_sound(seed):
     ub = upper_bound(A, h)
     for kmin in (1, 2, int(ub.max())):
         vk0 = ub >= kmin
-        vk, lb3 = improve_lb(A, h, vk0, kmin, lb2)
+        vk, lb3 = improve_lb(A, h, vk0, kmin, lb2, np.zeros(g.n, dtype=bool))
         ids = np.flatnonzero(vk0)
         assert (lb3[ids] <= core[ids]).all(), "Property 3 violated"
         # no vertex with core >= kmin may be cleaned away
@@ -125,8 +128,10 @@ def test_improve_lb_cleaning_reaches_fix_point(model, seed):
     vk0 = np.random.default_rng(seed).random(g.n) < 0.8
     sub, ids = g.induced(vk0)
     cleaned_any = False
+    nothing = np.zeros(g.n, dtype=bool)
     for kmin in range(1, 6):
-        vk, _ = improve_lb(g.adjacency, 1, vk0, kmin, np.zeros(g.n, dtype=np.int64))
+        vk, _ = improve_lb(g.adjacency, 1, vk0, kmin, np.zeros(g.n, dtype=np.int64),
+                           nothing)
         expect = np.zeros(g.n, dtype=bool)
         expect[ids] = kh_core_members(sub, 1, kmin)
         assert np.array_equal(vk, expect), kmin

@@ -25,8 +25,8 @@ def _sweep(g, h, s, improve):
     log = []
     real_improve, real_decomp = hlbub_mod.improve_lb, hlbub_mod.core_decomp
 
-    def improve_lb(A, h, vk, kmin, lb2, counter=None, spark=None, assigned=None):
-        vk_out, lb3 = real_improve(A, h, vk, kmin, lb2, counter, spark, assigned)
+    def improve_lb(A, h, vk, kmin, lb2, assigned, counter=None, spark=None):
+        vk_out, lb3 = real_improve(A, h, vk, kmin, lb2, assigned, counter, spark)
         log.append({"vk_in": vk.copy(), "vk_out": vk_out.copy(), "lb3": lb3,
                     "assigned": assigned, "decomp": (0, 0)})
         return vk_out, lb3
@@ -52,7 +52,7 @@ def _check_rules_agree(g, h, s=None) -> int:
     assert np.array_equal(paper.core, ref) and np.array_equal(plus.core, ref)
     assert len(paper_log) == len(plus_log) == len(plus.extra["intervals"])
     for a, b, rec in zip(paper_log, plus_log, plus.extra["partitions"]):
-        assert a["assigned"] is None
+        assert not a["assigned"].any()
         assigned = b["assigned"]
         assert np.array_equal(a["vk_in"], b["vk_in"])
         assert np.array_equal(a["vk_out"], b["vk_out"])  # same cleaned V[k]

@@ -1,13 +1,10 @@
-"""Graph metrics, including the Spark SQL degree statistics vs DuckDB oracle."""
+"""Graph metrics: degree statistics and exact diameter."""
 import numpy as np
-import pandas as pd
 import pytest
 
 from repro.graphs.generators import erdos_renyi, grid2d
 from repro.graphs.graph import Graph
-from repro.graphs.metrics import degree_stats_spark, diameter, graph_stats
-from repro.graphs.spark_graph import degrees_df, edges_to_df, edges_to_pandas
-from repro.oracle import assert_equivalent
+from repro.graphs.metrics import diameter, graph_stats
 
 
 def test_diameter_path(path_graph):
@@ -28,41 +25,3 @@ def test_graph_stats_fields():
         s = graph_stats(Graph.from_edges(n, np.zeros((0, 2), dtype=np.int64)))
         assert (s.n, s.m, s.avg_deg, s.max_deg, s.diameter) == (n, 0, 0.0, 0, 0)
 
-
-def test_degree_stats_spark_matches_local(spark):
-    g = erdos_renyi(40, 0.15, seed=3)
-    avg, mx = degree_stats_spark(spark, g)
-    assert avg == pytest.approx(2 * g.m / g.n)
-    assert mx == int(g.degrees.max())
-
-
-def test_degrees_df_oracle(spark):
-    """Spark SQL per-vertex degree vs the same query in DuckDB."""
-    g = erdos_renyi(50, 0.12, seed=5)
-    got = degrees_df(edges_to_df(spark, g))
-    assert_equivalent(
-        got,
-        "SELECT src, count(*) AS degree FROM edges GROUP BY src",
-        edges=edges_to_pandas(g),
-    )
-
-
-def test_degree_histogram_oracle(spark):
-    """Degree histogram — a second relational shape over the edge frame."""
-    from pyspark.sql import functions as F
-
-    g = erdos_renyi(60, 0.1, seed=6)
-    edges = edges_to_df(spark, g)
-    got = (
-        edges.groupBy("src").agg(F.count("*").alias("degree"))
-        .groupBy("degree").agg(F.count("*").alias("n_vertices"))
-    )
-    assert_equivalent(
-        got,
-        """
-        SELECT degree, count(*) AS n_vertices FROM (
-            SELECT src, count(*) AS degree FROM edges GROUP BY src
-        ) GROUP BY degree
-        """,
-        edges=edges_to_pandas(g),
-    )

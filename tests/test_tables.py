@@ -26,8 +26,8 @@ def test_run_with_budget_nt():
     assert cell.runtime_s == NT and cell.visits == NT
 
 
-def test_table1_fast(spark):
-    df = table1.run(spark=spark, fast=True)
+def test_table1_fast():
+    df = table1.run(fast=True)
     assert set(df["dataset"]) == {"coli", "jazz"}
     assert (df["V"] > 0).all()
     assert {"paper_V", "paper_diam"} <= set(df.columns)
