@@ -11,7 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core import h_lb_ub
-from repro.core.kernels import connected_components, substrate
+from repro.core.kernels import bounded_reach, substrate
 from repro.core.types import CoreResult
 from repro.graphs.graph import Graph
 
@@ -37,7 +37,9 @@ def cocktail_party(
     k_max = int(core[q].min())  # Q must survive in the core, so k <= min core(Q)
     A = substrate(g)
     for k in range(k_max, -1, -1):
-        labels = connected_components(A, core >= k)
-        if labels[q[0]] >= 0 and (labels[q] == labels[q[0]]).all():
-            return labels == labels[q[0]], k
+        # Q[0]'s component in G[core >= k]: an uncharged reach with h = n.
+        comp = bounded_reach(A, int(q[0]), core >= k, g.n)[0]
+        comp[q[0]] = True
+        if comp[q].all():
+            return comp, k
     return np.zeros(g.n, dtype=bool), -1

@@ -23,12 +23,14 @@ def greedy_distance_h_coloring(
     Each vertex gets the smallest color unused among already-colored vertices
     within G-distance h (the power-graph neighborhood, so the produced
     coloring is always *valid* per Definition 3), read from one h-BFS per
-    vertex on the graph's kernel substrate.
+    vertex on the graph's kernel substrate. Raises ``ValueError`` unless
+    ``order`` is a permutation of ``0..n-1``.
     """
     check_h(h)
     if order is None:
         order = h_bz(g, h).order
-    assert order is not None
+    if sorted(int(v) for v in order) != list(range(g.n)):
+        raise ValueError(f"order must be a permutation of 0..{g.n - 1}")
     A = substrate(g)
     alive = np.ones(g.n, dtype=bool)
     colors = np.full(g.n, -1, dtype=np.int64)

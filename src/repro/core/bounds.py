@@ -37,7 +37,7 @@ def batch_h_degrees(
 
         degs, visits, calls = h_degrees_spark(spark, A, alive, h, sources)
         if counter is not None:
-            counter.merge_batch(visits, calls)
+            counter.charge(visits, calls)
         return degs
     return all_h_degrees(A, alive, h, counter, sources)
 

@@ -14,6 +14,9 @@ once per graph by :func:`substrate`: the dense boolean matrix (a NumPy row
 scan per frontier vertex, O(n) each) or sorted neighbour lists (a pure
 Python walk, O(degree) each). Both charge the same visits and return the
 same masks, so the algorithms above the kernel never branch on it.
+:func:`bounded_reach` is the one h-BFS per substrate: component labels are
+its reach with h = n, uncharged. :meth:`Counter.charge` is the one way work
+is added, by a kernel call or by a Spark batch's task totals.
 """
 from __future__ import annotations
 
@@ -56,7 +59,7 @@ class Counter:
             h-BFS traversals — the paper's "point-to-point distances".
         bfs_calls: number of h-BFS traversals executed.
         visit_budget: raise :class:`BudgetExceeded` once ``visits`` passes this.
-        deadline: absolute ``time.monotonic()`` deadline, checked per BFS.
+        deadline: absolute ``time.monotonic()`` deadline, checked per charge.
     """
 
     visits: int = 0
@@ -64,24 +67,15 @@ class Counter:
     visit_budget: int | None = None
     deadline: float | None = None
 
-    def charge(self, visits: int) -> None:
-        """Record one BFS traversal that scanned ``visits`` vertices.
+    def charge(self, visits: int, calls: int = 1) -> None:
+        """Record ``calls`` h-BFS traversals that scanned ``visits`` vertices
+        in all, then enforce the visit budget and the deadline.
 
-        The same accounting as ``merge_batch(visits, 1)``, written out: this
-        runs once per h-BFS, so it saves the call and the int() conversions
-        (both kernels count in Python ints).
+        The one method that adds work: each kernel call charges one
+        traversal, and a Spark fan-out charges its tasks' totals at once.
         """
         self.visits += visits
-        self.bfs_calls += 1
-        if self.visit_budget is not None and self.visits > self.visit_budget:
-            raise BudgetExceeded(f"visit budget exceeded: {self.visits}")
-        if self.deadline is not None and time.monotonic() > self.deadline:
-            raise BudgetExceeded("wall-clock budget exceeded")
-
-    def merge_batch(self, visits: int, bfs_calls: int) -> None:
-        """Fold in ``bfs_calls`` traversals (e.g. done remotely by Spark tasks)."""
-        self.visits += int(visits)
-        self.bfs_calls += int(bfs_calls)
+        self.bfs_calls += calls
         if self.visit_budget is not None and self.visits > self.visit_budget:
             raise BudgetExceeded(f"visit budget exceeded: {self.visits}")
         if self.deadline is not None and time.monotonic() > self.deadline:
@@ -280,43 +274,20 @@ def connected_components(A: Adjacency, alive: np.ndarray) -> np.ndarray:
 
     ``A`` is either substrate (see :func:`substrate`); both give the same
     labels. Returns an int64 array holding, for each alive vertex, the
-    smallest alive id in its component, and -1 for each dead vertex.
+    smallest alive id in its component, and -1 for each dead vertex. Each
+    component is one uncharged :func:`bounded_reach` with h = n from its
+    smallest still-unlabelled id, over the vertices not yet labelled.
     """
-    if isinstance(A, list):
-        return _components_lists(A, alive)
-    n = A.shape[0]
+    n = len(A)
     label = np.full(n, -1, dtype=np.int64)
     todo = alive.copy()
     while todo.any():
-        v = int(np.argmax(todo))
-        frontier = np.zeros(n, dtype=bool)
-        frontier[v] = True
-        while frontier.any():
-            label[frontier] = v
-            todo &= ~frontier
-            frontier = A[np.flatnonzero(frontier)].any(axis=0) & todo
+        root = int(todo.argmax())
+        comp = bounded_reach(A, root, todo, n)[0]
+        comp[root] = True
+        label[comp] = root
+        todo[comp] = False
     return label
-
-
-def _components_lists(adj: list[list[int]], alive: np.ndarray) -> np.ndarray:
-    """:func:`connected_components` over neighbour lists, in O(n + m).
-
-    Roots are taken in increasing id order, so each component's root, the
-    label of all its vertices, is its smallest alive id.
-    """
-    live = memoryview(alive)
-    label = [-1] * len(adj)
-    for root in np.flatnonzero(alive).tolist():
-        if label[root] >= 0:
-            continue
-        label[root] = root
-        stack = [root]
-        while stack:
-            for w in adj[stack.pop()]:
-                if live[w] and label[w] < 0:
-                    label[w] = root
-                    stack.append(w)
-    return np.array(label, dtype=np.int64)
 
 
 def timed_deadline(seconds: float | None) -> float | None:

@@ -91,19 +91,18 @@ def grid2d(rows: int, cols: int, extra_p: float = 0.0, seed: int = 0) -> Graph:
 
 
 def caveman(n_communities: int, size: int, p_intra: float, n_inter: int,
-            seed: int = 0, ring: bool = False,
+            seed: int = 0,
             sizes: list[int] | None = None,
             p_intras: list[float] | None = None) -> Graph:
-    """Dense communities with sparse inter-community edges.
+    """Dense communities on a ring, joined by sparse inter-community edges.
 
     Collaboration-band regime (jazz, facebook egonets): high average degree.
-    With ``ring=True`` inter-community edges only connect *adjacent*
-    communities, so the diameter grows like n_communities/2 — this keeps the
-    h-neighborhood a fraction of the graph at h=2..4 as in the paper's
-    datasets, instead of collapsing to diameter ~3. Passing explicit
-    ``sizes`` / ``p_intras`` makes communities heterogeneous (a dense
-    nucleus + sparse periphery), reproducing the deep core hierarchy of
-    real ego-network graphs.
+    Inter-community edges only connect *adjacent* communities, so the
+    diameter grows like n_communities/2 — this keeps the h-neighborhood a
+    fraction of the graph at h=2..4 as in the paper's datasets, instead of
+    collapsing to diameter ~3. Passing explicit ``sizes`` / ``p_intras``
+    makes communities heterogeneous (a dense nucleus + sparse periphery),
+    reproducing the deep core hierarchy of real ego-network graphs.
     """
     g = _rng(seed)
     sz = sizes if sizes is not None else [size] * n_communities
@@ -120,14 +119,10 @@ def caveman(n_communities: int, size: int, p_intra: float, n_inter: int,
         for u, v in zip(us[keep], vs[keep]):
             edges.append((base + int(u), base + int(v)))
     for _ in range(n_inter):
-        if ring:
-            c = int(g.integers(0, n_communities))
-            c2 = (c + 1) % n_communities
-            u = int(bases[c]) + int(g.integers(0, sz[c]))
-            v = int(bases[c2]) + int(g.integers(0, sz[c2]))
-        else:
-            u = int(g.integers(0, n))
-            v = int(g.integers(0, n))
+        c = int(g.integers(0, n_communities))
+        c2 = (c + 1) % n_communities
+        u = int(bases[c]) + int(g.integers(0, sz[c]))
+        v = int(bases[c2]) + int(g.integers(0, sz[c2]))
         if u != v:
             edges.append((u, v))
     return Graph.from_edges(n, np.array(edges, dtype=np.int64))

@@ -34,11 +34,13 @@ def betweenness_centrality(g: Graph) -> np.ndarray:
     """Exact betweenness via Brandes' algorithm (unweighted)."""
     n = g.n
     adj = g.adjacency_lists
-    bc = np.zeros(n, dtype=np.float64)
+    # Python lists, not NumPy arrays: the loops read and write one element
+    # at a time, and a NumPy scalar access costs several times a list's.
+    bc = [0.0] * n
     for s in range(n):
-        sigma = np.zeros(n)
+        sigma = [0.0] * n
         sigma[s] = 1.0
-        dist = np.full(n, -1, dtype=np.int64)
+        dist = [-1] * n
         dist[s] = 0
         order = [s]  # the BFS order is also its FIFO queue; ``head`` is the front
         preds: list[list[int]] = [[] for _ in range(n)]
@@ -53,13 +55,13 @@ def betweenness_centrality(g: Graph) -> np.ndarray:
                 if dist[w] == dist[v] + 1:
                     sigma[w] += sigma[v]
                     preds[w].append(v)
-        delta = np.zeros(n)
+        delta = [0.0] * n
         for w in reversed(order):
             for v in preds[w]:
                 delta[v] += sigma[v] / sigma[w] * (1.0 + delta[w])
             if w != s:
                 bc[w] += delta[w]
-    return bc / 2.0  # undirected: each pair counted twice
+    return np.array(bc) / 2.0  # undirected: each pair counted twice
 
 
 def select_landmarks(

@@ -43,7 +43,7 @@ def kh_core_bsp(
             from repro.pregel.hdegree import h_degrees_spark
 
             degs, visits, calls = h_degrees_spark(spark, A, alive, h)
-            counter.merge_batch(visits, calls)
+            counter.charge(visits, calls)
             return degs
         return all_h_degrees(A, alive, h, counter)
 

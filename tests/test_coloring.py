@@ -101,3 +101,12 @@ def test_sparse_coloring_matches_distance_matrix_greedy(name, h):
     colors = greedy_distance_h_coloring(g, h, order)
     assert g._adj is None
     assert np.array_equal(colors, _matrix_greedy(g, h, order))
+
+
+@pytest.mark.parametrize("order", [[0, 1, 2, 3], [0] + list(range(11))])
+def test_coloring_rejects_order_that_is_not_a_permutation(order):
+    """A partial order would leave the missing vertices at color -1, and a
+    duplicated one would color a vertex twice; both are refused."""
+    g = erdos_renyi(12, 0.3, seed=1)
+    with pytest.raises(ValueError, match="permutation"):
+        greedy_distance_h_coloring(g, 2, order=order)

@@ -49,7 +49,7 @@ def test_watts_strogatz_degree():
 
 
 def test_caveman_ring_heterogeneous():
-    g = gen.caveman(3, 0, 0.0, n_inter=10, seed=1, ring=True,
+    g = gen.caveman(3, 0, 0.0, n_inter=10, seed=1,
                     sizes=[10, 6, 4], p_intras=[1.0, 1.0, 1.0])
     assert g.n == 20
     # First community is a clique of 10.
