@@ -10,7 +10,7 @@ G[V[k]] of one h-LB+UB partition. ImproveLB takes the minimum over the
 vertices of V[k] that higher partitions have not assigned; it is the same
 minimum whenever any is unassigned (see :func:`improve_lb`).
 ``batch_h_degrees`` is the block the paper multithreads (§4.6); passing a
-SparkSession fans the h-BFS batch out over the cluster via mapInPandas (see
+SparkSession fans the h-BFS batch out over the cluster as RDD tasks (see
 repro.pregel.hdegree).
 """
 from __future__ import annotations

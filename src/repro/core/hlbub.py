@@ -17,13 +17,13 @@ every core unchanged (see :func:`repro.core.bounds.improve_lb`).
 Two execution modes reproduce the paper's §4.6 multithreading options:
 
 - ``parallel="hdegree"`` (paper's shipped choice): the batch h-degree
-  computations fan out over Spark via mapInPandas; the interval sweep stays
+  computations fan out over Spark as RDD tasks; the interval sweep stays
   sequential and top-down, keeping the knowledge-reuse benefits.
-- ``parallel="intervals"`` (paper's option 1): each interval runs as an
-  independent Spark task (applyInPandas over the interval DataFrame); the
-  top-down knowledge (already-assigned cores, accumulated LB3) is forfeited,
-  which is exactly the trade-off the paper describes. Its tasks start with
-  no assigned vertex, so their ImproveLB runs the paper's batch.
+- ``parallel="intervals"`` (paper's option 1): the intervals run as
+  independent sub-computations in Spark RDD tasks; the top-down knowledge
+  (already-assigned cores, accumulated LB3) is forfeited, which is exactly
+  the trade-off the paper describes. Each interval starts with no assigned
+  vertex, so its ImproveLB runs the paper's batch.
 """
 from __future__ import annotations
 
@@ -182,59 +182,38 @@ def _run_intervals_spark(
     spark, g: Graph, h: int, intervals: list[tuple[int, int]],
     ub: np.ndarray, lb2: np.ndarray,
 ) -> tuple[np.ndarray, int]:
-    """Paper §4.6 option 1: run each interval as an independent Spark task.
+    """Paper §4.6 option 1: the intervals as independent Spark sub-computations.
 
-    Each task re-derives its V[kmin] from the broadcast UB vector, runs
-    ImproveLB + CoreDecomp on the induced subgraph, and emits (vertex, core)
-    rows for the vertices whose core index falls inside its interval;
-    vertices with higher core indexes keep being re-bucketed above kmax and
-    are simply left for the task owning their interval. The union over tasks
-    is the full decomposition (tested equal to the sequential mode).
+    ``min(len(intervals), defaultParallelism)`` tasks run their intervals in
+    turn, each from fresh core and LB3 vectors. An interval re-derives V[kmin]
+    from the broadcast UB, runs ImproveLB + CoreDecomp on G[V[kmin]] and emits
+    (vertex, core) for the cores inside it, leaving higher ones to their own
+    interval; the union is the full decomposition (tested equal to the
+    sequential mode). Returns ``(core, len(intervals))``: ``extra["tasks"]``
+    counts interval sub-computations, not Spark tasks. With no interval
+    nothing is broadcast.
     """
-    import pandas as pd
-
     n = g.n
+    if not intervals:
+        return np.zeros(n, dtype=np.int64), 0
     sc = spark.sparkContext
     b_adj = sc.broadcast(pack_adjacency(g.adjacency))
-    b_ub = sc.broadcast(ub.tolist())
-    b_lb2 = sc.broadcast(lb2.tolist())
+    b_bounds = sc.broadcast((ub, lb2))
 
-    idf = spark.createDataFrame(
-        pd.DataFrame(
-            {
-                "iid": np.arange(len(intervals), dtype=np.int64),
-                "kmin": [kmin for kmin, _ in intervals],
-                "kmax": [kmax for _, kmax in intervals],
-            }
-        )
-    ).repartition(len(intervals), "iid")
-
-    def run_one(pdf: pd.DataFrame) -> pd.DataFrame:
+    def run_some(part):
         A_task = unpack_adjacency(b_adj.value, n)
-        ub_t = np.asarray(b_ub.value, dtype=np.int64)
-        lb2_t = np.asarray(b_lb2.value, dtype=np.int64)
-        out_v: list[int] = []
-        out_c: list[int] = []
-        for row in pdf.itertuples(index=False):
-            kmin, kmax = int(row.kmin), int(row.kmax)
+        ub_t, lb2_t = b_bounds.value
+        for kmin, kmax in part:
             core_t = np.zeros(n, dtype=np.int64)
             lb3_t = np.zeros(n, dtype=np.int64)
-            _run_interval(
-                A_task, h, kmin, kmax, ub_t, lb2_t, core_t, lb3_t, counter=None,
-            )
-            # Cores of 0 need no row: the driver's vector starts at 0.
-            for v in np.flatnonzero(core_t):
-                out_v.append(int(v))
-                out_c.append(int(core_t[v]))
-        return pd.DataFrame({"v": pd.Series(out_v, dtype="int64"),
-                             "core": pd.Series(out_c, dtype="int64")})
+            _run_interval(A_task, h, kmin, kmax, ub_t, lb2_t, core_t, lb3_t, None)
+            # Cores of 0 need no pair: the driver's vector starts at 0.
+            for v in np.flatnonzero(core_t).tolist():
+                yield v, int(core_t[v])
 
-    rows = (
-        idf.groupBy("iid")
-        .applyInPandas(run_one, schema="v long, core long")
-        .toPandas()
-    )
+    parts = min(len(intervals), int(sc.defaultParallelism))
+    rdd = sc.parallelize(intervals, parts).mapPartitions(run_some)
+    pairs = np.array(rdd.collect(), dtype=np.int64).reshape(-1, 2)
     core = np.zeros(n, dtype=np.int64)
-    if len(rows):
-        core[rows["v"].to_numpy()] = rows["core"].to_numpy()
+    core[pairs[:, 0]] = pairs[:, 1]
     return core, len(intervals)

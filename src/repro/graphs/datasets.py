@@ -19,7 +19,6 @@ from repro.graphs.generators import (
     caveman,
     collab_cliques,
     ensure_connected,
-    erdos_renyi,
     grid2d,
     hub_boost,
     watts_strogatz,
@@ -43,7 +42,7 @@ def _cele() -> Graph:
 
 def _jazz() -> Graph:
     # Jazz collaborations: 198 vertices, avg deg ~27, diameter 6.
-    g = caveman(n_communities=8, size=25, p_intra=0.82, n_inter=120, seed=31)
+    g = caveman([25] * 8, [0.82] * 8, n_inter=120, seed=31)
     return ensure_connected(g, seed=32)
 
 
@@ -52,9 +51,9 @@ def _fbco() -> Graph:
     # one dense nucleus + progressively sparser egonets, like the real
     # FBco's 10 ego-nets of wildly varying size/density. Scaled 4039 -> 600.
     g = caveman(
-        n_communities=10, size=0, p_intra=0.0, n_inter=400, seed=41,
         sizes=[150, 90, 70, 60, 55, 50, 40, 35, 30, 20],
         p_intras=[0.55, 0.35, 0.30, 0.28, 0.25, 0.22, 0.20, 0.18, 0.15, 0.12],
+        n_inter=400, seed=41,
     )
     return ensure_connected(g, seed=42)
 
@@ -128,7 +127,7 @@ def _hyves() -> Graph:
 
 def _lj() -> Graph:
     # soc-livejournal: dense community structure at the largest scale we run.
-    g = caveman(n_communities=25, size=100, p_intra=0.12, n_inter=1500, seed=131)
+    g = caveman([100] * 25, [0.12] * 25, n_inter=1500, seed=131)
     return ensure_connected(g, seed=132)
 
 

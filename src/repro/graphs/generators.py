@@ -90,39 +90,36 @@ def grid2d(rows: int, cols: int, extra_p: float = 0.0, seed: int = 0) -> Graph:
     return Graph.from_edges(rows * cols, np.array(edges, dtype=np.int64))
 
 
-def caveman(n_communities: int, size: int, p_intra: float, n_inter: int,
-            seed: int = 0,
-            sizes: list[int] | None = None,
-            p_intras: list[float] | None = None) -> Graph:
+def caveman(sizes: list[int], p_intras: list[float], n_inter: int,
+            seed: int = 0) -> Graph:
     """Dense communities on a ring, joined by sparse inter-community edges.
 
     Collaboration-band regime (jazz, facebook egonets): high average degree.
-    Inter-community edges only connect *adjacent* communities, so the
-    diameter grows like n_communities/2 — this keeps the h-neighborhood a
-    fraction of the graph at h=2..4 as in the paper's datasets, instead of
-    collapsing to diameter ~3. Passing explicit ``sizes`` / ``p_intras``
-    makes communities heterogeneous (a dense nucleus + sparse periphery),
-    reproducing the deep core hierarchy of real ego-network graphs.
+    Community c has sizes[c] vertices, each pair joined with probability
+    p_intras[c]. Inter-community edges only connect *adjacent* communities,
+    so the diameter grows like n_communities/2: the h-neighborhood stays a
+    fraction of the graph at h=2..4, as in the paper's datasets. Unequal
+    lists (a dense nucleus + sparse periphery) give the deep core hierarchy
+    of real ego-network graphs.
     """
+    if len(sizes) != len(p_intras):
+        raise ValueError("sizes and p_intras must have one entry per community")
     g = _rng(seed)
-    sz = sizes if sizes is not None else [size] * n_communities
-    ps = p_intras if p_intras is not None else [p_intra] * n_communities
-    if len(sz) != n_communities or len(ps) != n_communities:
-        raise ValueError("sizes/p_intras must have n_communities entries")
-    bases = np.concatenate([[0], np.cumsum(sz)])
+    n_communities = len(sizes)
+    bases = np.concatenate([[0], np.cumsum(sizes)])
     n = int(bases[-1])
     edges = []
     for c in range(n_communities):
         base = int(bases[c])
-        us, vs = np.triu_indices(sz[c], k=1)
-        keep = g.random(len(us)) < ps[c]
+        us, vs = np.triu_indices(sizes[c], k=1)
+        keep = g.random(len(us)) < p_intras[c]
         for u, v in zip(us[keep], vs[keep]):
             edges.append((base + int(u), base + int(v)))
     for _ in range(n_inter):
         c = int(g.integers(0, n_communities))
         c2 = (c + 1) % n_communities
-        u = int(bases[c]) + int(g.integers(0, sz[c]))
-        v = int(bases[c2]) + int(g.integers(0, sz[c2]))
+        u = int(bases[c]) + int(g.integers(0, sizes[c]))
+        v = int(bases[c2]) + int(g.integers(0, sizes[c2]))
         if u != v:
             edges.append((u, v))
     return Graph.from_edges(n, np.array(edges, dtype=np.int64))

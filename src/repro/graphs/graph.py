@@ -20,6 +20,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+DENSE_MAX_BYTES = 1 << 30  # the largest n x n bool matrix ``adjacency`` builds
+
 
 def canonical_edges(edges: np.ndarray, n: int) -> np.ndarray:
     """Normalize an edge array on vertices ``0..n-1`` to unique undirected
@@ -72,8 +74,15 @@ class Graph:
 
     @property
     def adjacency(self) -> np.ndarray:
-        """Dense symmetric boolean adjacency matrix (cached)."""
+        """Dense symmetric boolean adjacency matrix (cached).
+
+        Raises ``ValueError``, before allocating anything, if the n² bytes it
+        takes exceed ``DENSE_MAX_BYTES``; ``adjacency_lists`` has no such cap.
+        """
         if self._adj is None:
+            if self.n * self.n > DENSE_MAX_BYTES:
+                raise ValueError(f"dense adjacency of n={self.n} would take "
+                                 f"{self.n * self.n:,} bytes, over {DENSE_MAX_BYTES:,}")
             A = np.zeros((self.n, self.n), dtype=bool)
             if len(self.edges):
                 A[self.edges[:, 0], self.edges[:, 1]] = True
@@ -97,10 +106,6 @@ class Graph:
     def degrees(self) -> np.ndarray:
         """Vertex degrees as an int64 array."""
         return np.bincount(self.edges.ravel(), minlength=self.n)
-
-    def neighbors(self, v: int) -> np.ndarray:
-        """Sorted neighbor ids of ``v``."""
-        return np.array(self.adjacency_lists[v], dtype=np.intp)
 
     def induced(self, mask: np.ndarray) -> tuple["Graph", np.ndarray]:
         """Subgraph induced by the boolean ``mask``.

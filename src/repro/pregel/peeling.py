@@ -8,7 +8,7 @@ removes nothing, k advances. Equivalent to sequential peeling because the
 (k,h)-core is unique (Property 1) and removal order is irrelevant to the
 fix-point.
 
-h-degrees per superstep come from the Spark mapInPandas batch
+h-degrees per superstep come from the Spark RDD batch
 (:func:`repro.pregel.hdegree.h_degrees_spark`) or the local kernel.
 """
 from __future__ import annotations

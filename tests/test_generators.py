@@ -49,8 +49,7 @@ def test_watts_strogatz_degree():
 
 
 def test_caveman_ring_heterogeneous():
-    g = gen.caveman(3, 0, 0.0, n_inter=10, seed=1,
-                    sizes=[10, 6, 4], p_intras=[1.0, 1.0, 1.0])
+    g = gen.caveman([10, 6, 4], [1.0, 1.0, 1.0], n_inter=10, seed=1)
     assert g.n == 20
     # First community is a clique of 10.
     assert g.adjacency[:10, :10].sum() == 10 * 9
@@ -58,7 +57,7 @@ def test_caveman_ring_heterogeneous():
 
 def test_caveman_validates_lengths():
     with pytest.raises(ValueError):
-        gen.caveman(3, 0, 0.0, 0, sizes=[5, 5], p_intras=[1, 1, 1])
+        gen.caveman([5, 5], [1, 1, 1], 0)
 
 
 def test_hub_boost_raises_max_degree():

@@ -2,7 +2,10 @@
 import numpy as np
 import pytest
 
-from repro.graphs.graph import Graph, canonical_edges, pack_adjacency, unpack_adjacency
+from repro.core.kernels import substrate
+from repro.graphs.graph import (
+    DENSE_MAX_BYTES, Graph, canonical_edges, pack_adjacency, unpack_adjacency,
+)
 
 
 def test_canonical_edges_dedup_and_orient():
@@ -82,17 +85,22 @@ def test_degrees_match_adjacency():
         assert (g.degrees == g.adjacency.sum(axis=1)).all()
 
 
-def test_neighbors_sorted():
-    g = Graph.from_edges(5, np.array([[2, 4], [2, 0], [2, 1]]))
-    assert g.neighbors(2).tolist() == [0, 1, 4]
-
-
 def test_adjacency_lists_match_dense_without_building_it():
     g = Graph.from_edges(6, np.array([[2, 4], [2, 0], [2, 1], [0, 5], [4, 2]]))
     lists = g.adjacency_lists
     assert g._adj is None
     assert lists == [np.flatnonzero(row).tolist() for row in g.adjacency]
     assert lists[3] == []  # isolated vertex
+
+
+def test_dense_adjacency_over_cap_raises_but_lists_work():
+    g = Graph.from_edges(40_000, np.zeros((0, 2), dtype=np.int64))
+    assert 40_000 ** 2 > DENSE_MAX_BYTES
+    with pytest.raises(ValueError, match="n=40000 would take 1,600,000,000 bytes"):
+        g.adjacency
+    assert g._adj is None
+    assert len(g.adjacency_lists) == 40_000 and not any(g.adjacency_lists)
+    assert isinstance(substrate(g), list)
 
 
 def test_induced_subgraph_relabels():

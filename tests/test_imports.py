@@ -1,8 +1,7 @@
 """The algorithm packages load without pandas or Spark, and the table
 harnesses without Spark or DuckDB.
 
-Only the Spark entry points and the table harnesses need pandas, and the
-Spark entry points import it when called, so a driver-only run stays small.
+Only the table harnesses need pandas, so a driver-only run stays small.
 No table starts Spark, so ``python -m repro.tables N`` never loads it.
 """
 import os

@@ -1,4 +1,4 @@
-"""Distributed layer: mapInPandas h-degree fan-out (values and visits vs the
+"""Distributed layer: the RDD h-degree fan-out (values and visits vs the
 driver kernel), BSP decomposition, Spark-parallel h-LB+UB."""
 import numpy as np
 import pytest
@@ -8,6 +8,7 @@ from repro.core import h_bz, h_lb, h_lb_ub
 from repro.core.kernels import Counter, all_h_degrees, bounded_reach
 from repro.core.reference import brute_force_cores
 from repro.graphs.generators import barabasi_albert, erdos_renyi
+from repro.graphs.graph import Graph
 from repro.pregel import h_degrees_spark, kh_core_bsp
 
 
@@ -24,6 +25,20 @@ def test_h_degrees_spark_matches_kernel(spark, h):
     # into the totals.
     assert (visits, calls) == (c.visits, c.bfs_calls)
     assert calls == int(alive.sum())
+
+
+def test_h_degrees_spark_empty_batch_broadcasts_nothing(spark, monkeypatch):
+    g = barabasi_albert(30, 2, seed=1)
+
+    def no_broadcast(value):
+        raise AssertionError("an empty batch must not broadcast")
+
+    monkeypatch.setattr(spark.sparkContext, "broadcast", no_broadcast)
+    none = np.zeros(g.n, dtype=bool)
+    for alive, sources in ((np.ones(g.n, dtype=bool), none), (none, None)):
+        degrees, visits, calls = h_degrees_spark(spark, g.adjacency, alive, 2, sources)
+        assert np.array_equal(degrees, np.zeros(g.n, dtype=np.int64))
+        assert (visits, calls) == (0, 0)
 
 
 def test_h_degrees_spark_visits_match_local():
@@ -71,6 +86,33 @@ def test_hlbub_spark_intervals_label_keeps_ub_kind(spark):
     assert res.algo == "h-LB+UB[hdeg][spark-intervals]"
     assert np.array_equal(res.core, brute_force_cores(g, 2))
     assert res.extra["tasks"] == len(res.extra["intervals"])
+
+
+def _clique_chain(sizes) -> Graph:
+    """Cliques of the given sizes, each joined to the next by one edge."""
+    edges, base = [], 0
+    for size in sizes:
+        if base:
+            edges.append((base - 1, base))
+        edges += [(base + i, base + j) for i in range(size) for j in range(i + 1, size)]
+        base += size
+    return Graph.from_edges(base, np.array(edges))
+
+
+def test_hlbub_spark_intervals_more_than_cores(spark):
+    """With more intervals (distinct UB values, at s=1) than Spark cores, a
+    task runs several intervals in turn, and together they give every core."""
+    cores = spark.sparkContext.defaultParallelism
+    g = _clique_chain(range(2, cores + 4))
+    res = h_lb_ub(g, 2, s=1, spark=spark, parallel="intervals")
+    assert len(res.extra["intervals"]) > cores
+    assert np.array_equal(res.core, brute_force_cores(g, 2))
+    assert res.extra["tasks"] == len(res.extra["intervals"])
+
+
+def test_hlbub_spark_intervals_empty_graph(spark):
+    res = h_lb_ub(Graph.from_edges(0, []), 2, spark=spark, parallel="intervals")
+    assert res.core.shape == (0,) and res.extra["tasks"] == 0
 
 
 def test_hlbub_spark_hdegree_matches(spark, monkeypatch):
