@@ -22,13 +22,14 @@ Alg. 5 UB peel (caHe h=2, ``upper_bound``) and replays them on a fresh
 and ``ns_per_op`` (best round; the replay loop's own dispatch is included).
 
 The peel case runs h-LB's ``core_decomp`` from a precomputed LB2 on amzn
-h=2 (neighbour lists) and caHe h=2 (dense matrix) once, recording the
-result of every ``bounded_reach`` call, and asserts the golden visits and
-BFS calls. Each timed round repeats the peel with the kernel replaced by a
-stub that hands back the recorded results in order, so it times the engine
-alone: buckets, lazy pops, the per-peel mask test and neighbour loop. Its
-``extra_info`` holds ``visits``, ``bfs_calls``, ``peels`` (vertices peeled)
-and ``us_per_peel`` (best round; the stub's own call is included).
+h=2 (neighbour lists) and caHe h=2 (dense matrix) once per rule, Alg. 3's
+``"at_h"`` and the default ``"lazy"``, recording the result of every
+``bounded_reach`` call, and asserts the golden visits and BFS calls. Each
+timed round repeats the peel with the kernel replaced by a stub that hands
+back the recorded results in order, so it times the engine alone: buckets,
+lazy pops, the per-peel mask test and neighbour loop. Its ``extra_info``
+holds ``visits``, ``bfs_calls``, ``peels`` (vertices peeled) and
+``us_per_peel`` (best round; the stub's own call is included).
 
     pytest benchmarks/bench_kernels.py --benchmark-only
 """
@@ -136,11 +137,12 @@ def test_bench_buckets_ns_per_op(benchmark, cahe, monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "graph,kernel,visits,bfs_calls",
-    [("amzn", "lists", 134_711, 7_467), ("cahe", "dense", 3_190_624, 8_717)],
+    "graph,kernel,decrement,visits,bfs_calls",
+    [("amzn", "lists", "at_h", 134_711, 7_467), ("amzn", "lists", "lazy", 107_265, 6_860),
+     ("cahe", "dense", "at_h", 3_190_624, 8_717), ("cahe", "dense", "lazy", 2_056_835, 6_705)],
 )
 def test_bench_peel_us_per_peel(
-    benchmark, request, monkeypatch, graph, kernel, visits, bfs_calls
+    benchmark, request, monkeypatch, graph, kernel, decrement, visits, bfs_calls
 ):
     g = request.getfixturevalue(graph)
     A = substrate(g)
@@ -156,7 +158,8 @@ def test_bench_peel_us_per_peel(
 
     def peel():
         c, core, order = Counter(), np.zeros(g.n, dtype=np.int64), []
-        core_decomp(A, 2, 0, g.n, lb2, np.ones(g.n, dtype=bool), core, c, order)
+        core_decomp(A, 2, 0, g.n, lb2, np.ones(g.n, dtype=bool), core, c, order,
+                    decrement)
         return c, core, order
 
     with monkeypatch.context() as m:

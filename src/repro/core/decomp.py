@@ -13,13 +13,25 @@ selects:
 - ``"at_h"`` (Alg. 3, shared by h-LB and each h-LB+UB partition): a
   decrement for the neighbours at distance exactly h (line 17: the peeled
   vertex cannot be interior to any of their <=h paths) and an h-BFS for the
-  rest.
+  rest;
+- ``"lazy"`` (beyond the paper; the default of h-LB and h-LB+UB): the same
+  decrement at distance exactly h, but every other hit neighbour u goes back
+  to the bucket of its lower bound, ``max(keys[u], k)``, flagged lazy, and
+  is recomputed only when the sweep pops it. One h-BFS then covers every
+  hit u took since its last exact h-degree.
 
-Only the Alg. 3 rule starts from lazy keys: a vertex sitting in bucket i with
-``setlb[v] == True`` is there because of a *lower bound*; popping it computes
-its current h-degree and re-buckets it. The other rules start from exact
-h-degrees. Popping a vertex with ``setlb[v] == False`` peels it: its core
-index is assigned iff k >= kmin (otherwise a later partition will assign it).
+The lazy rule stays exact for the reason the lower-bound start does (§4.3):
+keys[u] <= core(u), and core(u) does not change while vertices of lower
+core index are peeled, so a lazy key never lies above the level at which
+exact peeling removes u. Since the sweep never goes back, a key below the
+current k waits at k.
+
+Only the Alg. 3 and lazy rules start from lazy keys: a vertex sitting in
+bucket i with ``setlb[v] == True`` is there because of a *lower bound*;
+popping it computes its current h-degree and re-buckets it. The other rules
+start from exact h-degrees. Popping a vertex with ``setlb[v] == False``
+peels it: its core index is assigned iff k >= kmin (otherwise a later
+partition will assign it).
 """
 from __future__ import annotations
 
@@ -30,7 +42,12 @@ import numpy as np
 from repro.core.buckets import Buckets
 from repro.core.kernels import Adjacency, Counter, _count_nonzero, bounded_reach
 
-Decrement = Literal["none", "all", "at_h"]
+Decrement = Literal["none", "all", "at_h", "lazy"]
+# h-LB's and h-LB+UB's switch between this repo's reuse of lower bounds and
+# the paper's rules, mapped to the CoreDecomp rule each runs ("reuse" also
+# turns on h-LB+UB's ImproveLB skip of assigned vertices).
+Rule = Literal["reuse", "paper"]
+RULE_DECREMENT: dict[str, Decrement] = {"reuse": "lazy", "paper": "at_h"}
 
 
 def core_decomp(
@@ -44,20 +61,24 @@ def core_decomp(
     counter: Counter | None = None,
     order: list[int] | None = None,
     decrement: Decrement = "at_h",
-) -> None:
+) -> tuple[int, int]:
     """Peel ``alive`` in bucket order, assigning cores in [kmin, kmax].
 
     Args:
-        keys: initial bucket of every alive vertex — a lower bound (``"at_h"``)
-            or the exact h-degree (``"none"``, ``"all"``). A vertex whose core
-            index a previous partition already assigned sits above ``kmax``
-            and is never popped.
+        keys: initial bucket of every alive vertex — a lower bound (``"at_h"``,
+            ``"lazy"``) or the exact h-degree (``"none"``, ``"all"``). A vertex
+            whose core index a previous partition already assigned sits above
+            ``kmax`` and is never popped. Never written to.
         alive: the vertices to peel; mutated in place as they are peeled.
         core: mutated in place for vertices peeled at k >= kmin; entries of
             unassigned vertices must be 0.
         order: if given, append vertices in peel order (global peels only).
         decrement: which reached neighbours of a peeled vertex are decremented
             instead of recomputed (see the module docstring).
+
+    Returns ``(lazy_pops, confirmed)``: how many pops found a lazy vertex
+    and recomputed its h-degree, and how many of those found it at most k,
+    so the vertex stayed in bucket k (both 0 for ``"none"`` and ``"all"``).
     """
     n = len(A)
     bk = Buckets(n)
@@ -67,21 +88,31 @@ def core_decomp(
         bk.add(v, deg[v])
     # The lazy flags live in a bytearray, read and written a byte per vertex;
     # ``setlb`` views the same bytes for the one vectorized test per peel.
-    lazy = bytearray([decrement == "at_h"]) * n
+    from_lb = decrement in ("at_h", "lazy")
+    lazy = bytearray([from_lb]) * n
     setlb = np.frombuffer(lazy, dtype=bool)
     # Which reached vertices are decremented: a byte per vertex, all set for
-    # "all", none for "none", and at_h's bytes (taken per peel) for "at_h".
+    # "all", none for "none", and at_h's bytes (taken per peel) otherwise.
     dec = b"\1" * n if decrement == "all" else bytes(n)
+    eager = decrement != "lazy"
+    # The lazy rule's fallback keys: ``deg`` is overwritten as the peel goes.
+    lb = None if eager else keys.tolist()
+    lazy_pops = confirmed = 0
     for k in range(max(0, kmin - 1), kmax + 1):
         while bk.nonempty(k):
             v = bk.pop(k)
             if lazy[v]:
                 d = _count_nonzero(bounded_reach(A, v, alive, h, counter)[0])
                 deg[v] = d
+                lazy_pops += 1
                 # The paper re-buckets at B[deg]; deg >= k is guaranteed when
                 # the bound is valid, and k keeps the sweep forward-only even
                 # for partition stragglers whose true core is below kmin.
-                bk.add(v, d if d > k else k)
+                if d > k:
+                    bk.add(v, d)
+                else:
+                    bk.add(v, k)
+                    confirmed += 1
                 lazy[v] = 0
                 continue
             if k >= kmin:
@@ -91,14 +122,18 @@ def core_decomp(
             lazy[v] = 1
             reached, at_h = bounded_reach(A, v, alive, h, counter)
             alive[v] = False
-            if decrement == "at_h":
+            if from_lb:
                 dec = at_h.tobytes()
             # One ascending pass over reached & ~setlb: a recompute reads only
             # ``alive``, so each neighbour is settled and moved in turn.
             for u in np.flatnonzero(reached > setlb).tolist():
                 if dec[u]:
                     d = deg[u] - 1
-                else:
+                elif eager:
                     d = _count_nonzero(bounded_reach(A, u, alive, h, counter)[0])
+                else:
+                    lazy[u] = 1
+                    d = lb[u]
                 deg[u] = d
                 bk.move(u, d if d > k else k)
+    return lazy_pops, confirmed

@@ -8,11 +8,16 @@ ImproveLB (Algorithm 6) cleans V[k] and tightens the lower bound to LB3, and
 CoreDecomp (Algorithm 3) peels what is left. The bounds live in
 :mod:`repro.core.bounds` and both peels in :mod:`repro.core.decomp`.
 
-By default ImproveLB carries the top-down reuse into its batch: it runs an
-h-BFS only from the vertices of V[k] that no higher partition has assigned
-(still over the whole of G[V[k]]), which leaves the cleaned V[k], LB3 and
-every core unchanged (see :func:`repro.core.bounds.improve_lb`).
-``improve="all"`` runs the paper's batch from every vertex of V[k].
+By default (``rule="reuse"``, beyond the paper) both steps reuse what is
+already known. ImproveLB runs an h-BFS only from the vertices of V[k] that no
+higher partition has assigned (still over the whole of G[V[k]]), which
+leaves the cleaned V[k], LB3 and every core unchanged (see
+:func:`repro.core.bounds.improve_lb`). CoreDecomp puts a hit neighbour not at
+distance exactly h back at its lower bound and recomputes it once, when
+popped (the ``"lazy"`` rule of :mod:`repro.core.decomp`). ``rule="paper"``
+runs Algorithm 6's batch from every vertex of V[k] and Algorithm 3's eager
+recompute (Tables 3 and 5). Cores are the same; only visits and BFS calls
+differ.
 
 Two execution modes reproduce the paper's §4.6 multithreading options:
 
@@ -23,7 +28,8 @@ Two execution modes reproduce the paper's §4.6 multithreading options:
   independent sub-computations in Spark RDD tasks; the top-down knowledge
   (already-assigned cores, accumulated LB3) is forfeited, which is exactly
   the trade-off the paper describes. Each interval starts with no assigned
-  vertex, so its ImproveLB runs the paper's batch.
+  vertex, so its ImproveLB runs the paper's batch; ``rule`` still selects
+  its CoreDecomp rule.
 """
 from __future__ import annotations
 
@@ -32,7 +38,7 @@ from typing import Literal, get_args
 import numpy as np
 
 from repro.core.bounds import batch_h_degrees, improve_lb, lower_bounds, upper_bound
-from repro.core.decomp import core_decomp
+from repro.core.decomp import RULE_DECREMENT, Rule, core_decomp
 # bounded_reach is unused here but bound so khbench/spans.py can wrap it.
 from repro.core.kernels import (  # noqa: F401
     Adjacency, Counter, bounded_reach, check_h, kernel_name, substrate,
@@ -42,7 +48,6 @@ from repro.graphs.graph import Graph, pack_adjacency, unpack_adjacency
 
 ParallelMode = Literal["none", "hdegree", "intervals"]
 UpperBoundKind = Literal["ub", "hdegree"]
-ImproveRule = Literal["unassigned", "all"]
 
 
 def build_intervals(ub: np.ndarray, lb2: np.ndarray, s: int) -> list[tuple[int, int]]:
@@ -74,27 +79,28 @@ def _run_interval(
     lb3_acc: np.ndarray,
     counter: Counter | None,
     spark=None,
-    improve: ImproveRule = "unassigned",
+    rule: Rule = "reuse",
 ) -> dict:
     """Process one partition (Algorithm 4 lines 12–18); mutates core.
 
     ``core`` holds the indexes earlier (higher) partitions assigned and 0
     for every vertex still unassigned. Returns the partition's record:
-    |V[k]| before and after cleaning, and how many h-BFS ImproveLB ran and
-    skipped.
+    |V[k]| before and after cleaning, how many h-BFS ImproveLB ran and
+    skipped, and CoreDecomp's lazy pops and how many it confirmed.
     """
     vk0 = ub >= kmin
-    assigned = core > 0 if improve == "unassigned" else np.zeros(len(core), dtype=bool)
+    assigned = core > 0 if rule == "reuse" else np.zeros(len(core), dtype=bool)
     vk, lb3_star = improve_lb(A, h, vk0, kmin, lb2, assigned, counter, spark)
     vk_in = int(np.count_nonzero(vk0))
     skipped = int(np.count_nonzero(vk0 & assigned))
     rec = {"kmin": kmin, "kmax": kmax, "vk_in": vk_in,
            "vk_out": int(np.count_nonzero(vk)), "bfs_ran": vk_in - skipped,
-           "bfs_skipped": skipped}
+           "bfs_skipped": skipped, "lazy_pops": 0, "confirmed": 0}
     if vk.any():
         lb3_acc[vk] = np.maximum(lb3_acc[vk], lb3_star[vk])
         keys = np.maximum(np.maximum(core, lb3_acc), kmin - 1)
-        core_decomp(A, h, kmin, kmax, keys, vk, core, counter)
+        rec["lazy_pops"], rec["confirmed"] = core_decomp(
+            A, h, kmin, kmax, keys, vk, core, counter, decrement=RULE_DECREMENT[rule])
     return rec
 
 
@@ -106,7 +112,7 @@ def h_lb_ub(
     spark=None,
     parallel: ParallelMode = "none",
     ub_kind: UpperBoundKind = "ub",
-    improve: ImproveRule = "unassigned",
+    rule: Rule = "reuse",
 ) -> CoreResult:
     """Exact (k,h)-core decomposition with lower+upper bounds (Algorithm 4).
 
@@ -122,21 +128,26 @@ def h_lb_ub(
            sub-computations as Spark tasks); both Spark modes need ``spark``.
         ub_kind: "ub" = Algorithm 5's power-graph bound (the paper's h-LB+UB);
            "hdegree" = the plain h-degree baseline bound (Table 5 ablation).
-        improve: "unassigned" (default) = ImproveLB runs an h-BFS only from
-           the vertices of V[k] no higher partition has assigned; "all" =
-           the paper's Algorithm 6 batch from every vertex of V[k] (Tables 3
-           and 5). Cores are the same; only visits and BFS calls differ.
+        rule: "reuse" (default) = ImproveLB runs an h-BFS only from the
+           vertices of V[k] no higher partition has assigned, and CoreDecomp
+           puts hit neighbours back at their lower bound; "paper" =
+           Algorithm 6's batch from every vertex of V[k] and Algorithm 3's
+           eager recompute (Tables 3 and 5). Cores are the same; only visits
+           and BFS calls differ.
 
     ``extra["partitions"]`` holds one record per interval of the sequential
     sweep (the intervals mode keeps none): kmin, kmax, |V[k]| before and
-    after cleaning (``vk_in``, ``vk_out``) and the h-BFS ImproveLB ran and
-    skipped (``bfs_ran + bfs_skipped == vk_in``).
+    after cleaning (``vk_in``, ``vk_out``), the h-BFS ImproveLB ran and
+    skipped (``bfs_ran + bfs_skipped == vk_in``), and CoreDecomp's lazy pops
+    and how many of them it confirmed without a re-bucket (``lazy_pops``,
+    ``confirmed``). ``extra["lazy_pops"]`` and ``extra["confirmed"]`` are
+    their totals.
     """
     check_h(h)
     if ub_kind not in get_args(UpperBoundKind):
         raise ValueError(f"unknown upper bound {ub_kind!r}")
-    if improve not in get_args(ImproveRule):
-        raise ValueError(f"unknown ImproveLB rule {improve!r}")
+    if rule not in RULE_DECREMENT:
+        raise ValueError(f"unknown rule {rule!r}")
     if parallel not in get_args(ParallelMode):
         raise ValueError(f"unknown parallel mode {parallel!r}")
     if parallel != "none" and spark is None:
@@ -158,17 +169,19 @@ def h_lb_ub(
     intervals = build_intervals(ub, lb2, s)
 
     extra = {"intervals": intervals, "ub": ub, "lb2": lb2, "kernel": kernel_name(A),
-             "improve": improve}
+             "rule": rule}
     if parallel == "intervals":
-        core, extra["tasks"] = _run_intervals_spark(spark, g, h, intervals, ub, lb2)
+        core, extra["tasks"] = _run_intervals_spark(spark, g, h, intervals, ub, lb2, rule)
     else:
         core = np.zeros(n, dtype=np.int64)
         lb3_acc = np.zeros(n, dtype=np.int64)
-        extra["partitions"] = [
+        parts = extra["partitions"] = [
             _run_interval(A, h, kmin, kmax, ub, lb2, core, lb3_acc, counter,
-                          spark_for_batches, improve)
+                          spark_for_batches, rule)
             for kmin, kmax in intervals
         ]
+        extra["lazy_pops"] = sum(p["lazy_pops"] for p in parts)
+        extra["confirmed"] = sum(p["confirmed"] for p in parts)
     name = "h-LB+UB" if ub_kind == "ub" else "h-LB+UB[hdeg]"
     if parallel != "none":
         name += "[spark-hdeg]" if parallel == "hdegree" else "[spark-intervals]"
@@ -180,7 +193,7 @@ def h_lb_ub(
 
 def _run_intervals_spark(
     spark, g: Graph, h: int, intervals: list[tuple[int, int]],
-    ub: np.ndarray, lb2: np.ndarray,
+    ub: np.ndarray, lb2: np.ndarray, rule: Rule = "reuse",
 ) -> tuple[np.ndarray, int]:
     """Paper §4.6 option 1: the intervals as independent Spark sub-computations.
 
@@ -206,7 +219,8 @@ def _run_intervals_spark(
         for kmin, kmax in part:
             core_t = np.zeros(n, dtype=np.int64)
             lb3_t = np.zeros(n, dtype=np.int64)
-            _run_interval(A_task, h, kmin, kmax, ub_t, lb2_t, core_t, lb3_t, None)
+            _run_interval(A_task, h, kmin, kmax, ub_t, lb2_t, core_t, lb3_t, None,
+                          rule=rule)
             # Cores of 0 need no pair: the driver's vector starts at 0.
             for v in np.flatnonzero(core_t).tolist():
                 yield v, int(core_t[v])

@@ -195,18 +195,21 @@ def test_golden_counts_coli_h3():
     """Pin the paper's metric: any change to visits, BFS calls or the peel
     order (coloring consumes it) on a fixed dataset cell shows up here."""
     g = datasets.load("coli")
-    bz, lb, lbub = h_bz(g, 3), h_lb(g, 3), h_lb_ub(g, 3, improve="all")
-    lbub_plus = h_lb_ub(g, 3)
+    bz, lb, lbub = h_bz(g, 3), h_lb(g, 3, rule="paper"), h_lb_ub(g, 3, rule="paper")
+    lb_plus, lbub_plus = h_lb(g, 3), h_lb_ub(g, 3)
     assert (bz.visits, bz.bfs_calls) == (2_682_312, 10_442)
     assert (lb.visits, lb.bfs_calls) == (236_938, 2_309)
     assert (lbub.visits, lbub.bfs_calls) == (722_220, 5_444)
-    assert (lbub_plus.visits, lbub_plus.bfs_calls) == (216_370, 2_914)
+    assert (lb_plus.visits, lb_plus.bfs_calls) == (216_328, 2_246)
+    assert (lbub_plus.visits, lbub_plus.bfs_calls) == (225_627, 2_929)
     assert np.array_equal(lbub.core, lbub_plus.core)
+    assert np.array_equal(lb.core, lb_plus.core)
     c = Counter()
     upper_bound(g.adjacency, 3, c)
     assert (c.visits, c.bfs_calls) == (63_637, 656)
     assert _digest(bz.order) == "0954513321731c6e"
     assert _digest(lb.order) == "4361e93c56fe800b"
+    assert _digest(lb_plus.order) == "38f704384d8b44a0"
     assert np.array_equal(bz.core, lb.core) and np.array_equal(bz.core, lbub.core)
 
 
@@ -230,6 +233,13 @@ def test_golden_counts_coli_h3_both_kernels(kernel, monkeypatch):
     assert (c.visits, c.bfs_calls) == (236_938, 2_309)  # h-LB
     assert _digest(order) == "4361e93c56fe800b"
     assert np.array_equal(core, lb_core)
+    c, lb_core, order = Counter(), np.zeros(n, dtype=np.int64), []
+    lower_bounds(A, 3, c)
+    core_decomp(A, 3, 0, n, lb2, np.ones(n, dtype=bool), lb_core, c, order,
+                decrement="lazy")
+    assert (c.visits, c.bfs_calls) == (216_328, 2_246)  # h-LB, lazy peel
+    assert _digest(order) == "38f704384d8b44a0"
+    assert np.array_equal(core, lb_core)
     c = Counter()
     upper_bound(A, 3, c)
     assert (c.visits, c.bfs_calls) == (63_637, 656)
@@ -240,46 +250,53 @@ def test_golden_counts_coli_h3_both_kernels(kernel, monkeypatch):
     assert (c.visits, c.bfs_calls) == (11_804, 328)
     assert _digest(order) == "6bd79123c936a552"
     monkeypatch.setattr(hlbub_mod, "substrate", lambda _: A)
-    lbub = h_lb_ub(g, 3, improve="all")
+    lbub = h_lb_ub(g, 3, rule="paper")
     assert lbub.extra["kernel"] == kernel
     assert (lbub.visits, lbub.bfs_calls) == (722_220, 5_444)  # h-LB+UB
     assert np.array_equal(core, lbub.core)
     lbub = h_lb_ub(g, 3)
-    assert (lbub.visits, lbub.bfs_calls) == (216_370, 2_914)  # ImproveLB skips
+    assert (lbub.visits, lbub.bfs_calls) == (225_627, 2_929)  # both rules reuse
     assert np.array_equal(core, lbub.core)
 
 
-@pytest.mark.parametrize("name,h,bz,lb,lbub,lbub_plus,ub,bz_digest,lb_digest", [
-    ("amzn", 2, (1_023_010, 19_947), (151_547, 11_467), (406_456, 20_693),
-     (299_723, 18_085), (84_769, 4_000), "7e1975548d00c85c", "d634a35612046973"),
-    ("rnPA", 4, (928_417, 20_722), (584_239, 16_290), (1_272_661, 29_988),
-     (810_125, 21_895), (114_212, 2_888), "039eb488137aa122", "4c155d3fa682d9ed"),
-], ids=["amzn-h2", "rnPA-h4"])
-def test_golden_counts_sparse_road(name, h, bz, lb, lbub, lbub_plus, ub, bz_digest,
-                                   lb_digest):
+@pytest.mark.parametrize(
+    "name,h,bz,lb,lbub,lb_plus,lbub_plus,ub,bz_digest,lb_digest,lb_plus_digest", [
+        ("amzn", 2, (1_023_010, 19_947), (151_547, 11_467), (406_456, 20_693),
+         (124_101, 10_860), (272_078, 17_463), (84_769, 4_000),
+         "7e1975548d00c85c", "d634a35612046973", "4692376d4414ccd1"),
+        ("rnPA", 4, (928_417, 20_722), (584_239, 16_290), (1_272_661, 29_988),
+         (500_227, 14_345), (723_064, 19_854), (114_212, 2_888),
+         "039eb488137aa122", "4c155d3fa682d9ed", "d007df1470a78235"),
+    ], ids=["amzn-h2", "rnPA-h4"])
+def test_golden_counts_sparse_road(name, h, bz, lb, lbub, lb_plus, lbub_plus, ub,
+                                   bz_digest, lb_digest, lb_plus_digest):
     """Golden counts and peel orders on two list-substrate cells of khbench's
     sparse-road workload (seed 0), where the engine's per-peel cost shows.
-    ``lbub`` is the paper's ImproveLB batch, ``lbub_plus`` the default rule."""
+    ``lb`` and ``lbub`` run the paper's rules, ``lb_plus`` and ``lbub_plus``
+    the default reuse rule."""
     g = datasets.load(name)
-    r_bz, r_lb = h_bz(g, h), h_lb(g, h)
-    r_lbub, r_plus = h_lb_ub(g, h, improve="all"), h_lb_ub(g, h)
+    r_bz, r_lb, r_lb_plus = h_bz(g, h), h_lb(g, h, rule="paper"), h_lb(g, h)
+    r_lbub, r_plus = h_lb_ub(g, h, rule="paper"), h_lb_ub(g, h)
     assert r_bz.extra["kernel"] == "lists"
     assert (r_bz.visits, r_bz.bfs_calls) == bz
     assert (r_lb.visits, r_lb.bfs_calls) == lb
     assert (r_lbub.visits, r_lbub.bfs_calls) == lbub
+    assert (r_lb_plus.visits, r_lb_plus.bfs_calls) == lb_plus
     assert (r_plus.visits, r_plus.bfs_calls) == lbub_plus
     assert np.array_equal(r_lbub.core, r_plus.core)
+    assert np.array_equal(r_lb.core, r_lb_plus.core)
     c = Counter()
     upper_bound(g.adjacency_lists, h, c)
     assert (c.visits, c.bfs_calls) == ub
     assert _digest(r_bz.order) == bz_digest
     assert _digest(r_lb.order) == lb_digest
+    assert _digest(r_lb_plus.order) == lb_plus_digest
     assert np.array_equal(r_bz.core, r_lb.core)
     assert np.array_equal(r_bz.core, r_lbub.core)
 
 
 @pytest.mark.parametrize("kernel", ["dense", "lists"])
-@pytest.mark.parametrize("decrement", ["none", "all", "at_h"])
+@pytest.mark.parametrize("decrement", ["none", "all", "at_h", "lazy"])
 def test_core_decomp_leaves_keys_unchanged(decrement, kernel):
     """Callers keep the vector they pass as ``keys``: h-LB reports its lower
     bounds as ``extra["lb"]``, which the LB <= core checks read, so no rule
@@ -287,7 +304,7 @@ def test_core_decomp_leaves_keys_unchanged(decrement, kernel):
     g = datasets.load("coli")
     A = g.adjacency if kernel == "dense" else g.adjacency_lists
     n = g.n
-    if decrement == "at_h":
+    if decrement in ("at_h", "lazy"):
         keys = lower_bounds(A, 3)[1]
     else:
         keys = all_h_degrees(A, np.ones(n, dtype=bool), 3)

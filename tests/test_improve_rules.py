@@ -1,10 +1,13 @@
-"""h-LB+UB's two ImproveLB rules, compared interval by interval.
+"""h-LB's and h-LB+UB's two rules: the paper's and the default reuse rule.
 
-``improve="all"`` is the paper's Algorithm 6 batch (an h-BFS from every
-vertex of V[k]); the default ``"unassigned"`` runs one only from the vertices
-no higher partition has assigned. Each partition must then clean V[k] to the
-same mask, give every unassigned vertex the same LB3, never clean an
-assigned vertex, and leave CoreDecomp the same work.
+``rule="paper"`` runs Algorithm 3's eager recompute in CoreDecomp and
+Algorithm 6's batch in ImproveLB (an h-BFS from every vertex of V[k]). The
+default ``"reuse"`` puts a hit neighbour back at its lower bound until the
+sweep pops it, and runs ImproveLB's h-BFS only from the vertices no higher
+partition has assigned. Both rules must give the brute-force cores inside the
+LB <= core <= UB sandwich. At each partition of a reuse sweep, ImproveLB must
+clean V[k] to the mask the paper's batch gives, give every unassigned vertex
+the same LB3, and never clean an assigned vertex.
 """
 import numpy as np
 import pytest
@@ -12,55 +15,47 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import repro.core.hlbub as hlbub_mod
-from repro.core import h_lb_ub
+from repro.core import h_lb, h_lb_ub
 from repro.core.reference import brute_force_cores
 from repro.graphs import datasets
 from tests.conftest import small_graph
 from tests.test_properties import _graph_from_bits
 
 
-def _sweep(g, h, s, improve):
-    """Run h-LB+UB and log, per partition, ImproveLB's input and output and
-    the visits and BFS calls of that partition's CoreDecomp."""
-    log = []
-    real_improve, real_decomp = hlbub_mod.improve_lb, hlbub_mod.core_decomp
+def _reuse_sweep(g, h, s):
+    """Run the default h-LB+UB, checking each partition's ImproveLB against
+    the paper's batch (the same call with an all-False ``assigned``)."""
+    real_improve = hlbub_mod.improve_lb
+    skipped = []
 
     def improve_lb(A, h, vk, kmin, lb2, assigned, counter=None, spark=None):
         vk_out, lb3 = real_improve(A, h, vk, kmin, lb2, assigned, counter, spark)
-        log.append({"vk_in": vk.copy(), "vk_out": vk_out.copy(), "lb3": lb3,
-                    "assigned": assigned, "decomp": (0, 0)})
+        ref_vk, ref_lb3 = real_improve(A, h, vk, kmin, lb2, np.zeros_like(assigned))
+        assert np.array_equal(vk_out, ref_vk)  # same cleaned V[k]
+        assert not (assigned & vk & ~vk_out).any()  # no assigned vertex cleaned
+        free = vk & ~assigned
+        assert np.array_equal(lb3[free], ref_lb3[free])
+        skipped.append(int((vk & assigned).sum()))
         return vk_out, lb3
-
-    def core_decomp(A, h, kmin, kmax, keys, alive, core, counter):
-        v0, c0 = counter.visits, counter.bfs_calls
-        real_decomp(A, h, kmin, kmax, keys, alive, core, counter)
-        log[-1]["decomp"] = (counter.visits - v0, counter.bfs_calls - c0)
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(hlbub_mod, "improve_lb", improve_lb)
-        mp.setattr(hlbub_mod, "core_decomp", core_decomp)
-        res = h_lb_ub(g, h, s=s, improve=improve)
-    return res, log
+        res = h_lb_ub(g, h, s=s)
+    assert [p["bfs_skipped"] for p in res.extra["partitions"]] == skipped
+    return res
 
 
 def _check_rules_agree(g, h, s=None) -> int:
-    """Assert the two rules agree partition by partition; returns the number
-    of h-BFS the default rule skipped."""
+    """Assert both rules of h-LB and h-LB+UB give the brute-force cores
+    within their bounds; returns the number of h-BFS ImproveLB skipped."""
     ref = brute_force_cores(g, h)
-    paper, paper_log = _sweep(g, h, s, "all")
-    plus, plus_log = _sweep(g, h, s, "unassigned")
-    assert np.array_equal(paper.core, ref) and np.array_equal(plus.core, ref)
-    assert len(paper_log) == len(plus_log) == len(plus.extra["intervals"])
-    for a, b, rec in zip(paper_log, plus_log, plus.extra["partitions"]):
-        assert not a["assigned"].any()
-        assigned = b["assigned"]
-        assert np.array_equal(a["vk_in"], b["vk_in"])
-        assert np.array_equal(a["vk_out"], b["vk_out"])  # same cleaned V[k]
-        assert not (assigned & ~b["vk_out"] & b["vk_in"]).any()  # none cleaned
-        free = b["vk_in"] & ~assigned
-        assert np.array_equal(a["lb3"][free], b["lb3"][free])
-        assert a["decomp"] == b["decomp"]
-        assert rec["bfs_skipped"] == int((b["vk_in"] & assigned).sum())
+    plus = _reuse_sweep(g, h, s)
+    for res in (plus, h_lb_ub(g, h, s=s, rule="paper")):
+        assert np.array_equal(res.core, ref), res.extra["rule"]
+        assert (res.extra["lb2"] <= ref).all() and (ref <= res.extra["ub"]).all()
+    for res in (h_lb(g, h), h_lb(g, h, rule="paper")):
+        assert np.array_equal(res.core, ref), res.extra["rule"]
+        assert (res.extra["lb"] <= ref).all()
     return sum(p["bfs_skipped"] for p in plus.extra["partitions"])
 
 
@@ -86,17 +81,31 @@ def test_hypothesis_rules_agree_per_partition(n, h, s, data):
     _check_rules_agree(_graph_from_bits(n, bits), h, s)
 
 
-@pytest.mark.parametrize("improve", ["all", "unassigned"])
-def test_partition_records(improve):
-    """Each partition reports |V[k]| before and after cleaning and the h-BFS
-    ImproveLB ran and skipped; the paper's batch skips none."""
-    res = h_lb_ub(datasets.load("coli"), 3, improve=improve)
+@pytest.mark.parametrize("rule", ["paper", "reuse"])
+def test_partition_records(rule):
+    """Each partition reports |V[k]| before and after cleaning, the h-BFS
+    ImproveLB ran and skipped, and its lazy pops; the paper's batch skips
+    none."""
+    res = h_lb_ub(datasets.load("coli"), 3, rule=rule)
     parts = res.extra["partitions"]
-    assert res.extra["improve"] == improve
+    assert res.extra["rule"] == rule
     assert [(p["kmin"], p["kmax"]) for p in parts] == res.extra["intervals"]
     for p in parts:
         assert p["bfs_ran"] + p["bfs_skipped"] == p["vk_in"] >= p["vk_out"]
-        if improve == "all":
+        if rule == "paper":
             assert p["bfs_skipped"] == 0
-    if improve == "unassigned":
+    if rule == "reuse":
         assert sum(p["bfs_skipped"] for p in parts) > 0
+    assert sum(p["lazy_pops"] for p in parts) == res.extra["lazy_pops"]
+    assert sum(p["confirmed"] for p in parts) == res.extra["confirmed"]
+
+
+@pytest.mark.parametrize("rule", ["paper", "reuse"])
+def test_lazy_pops_are_counted(rule):
+    """Every lazy pop runs one h-BFS, and a confirmed pop is a lazy pop
+    whose recomputed h-degree kept it in its bucket."""
+    g = datasets.load("coli")
+    for res in (h_lb(g, 3, rule=rule), h_lb_ub(g, 3, rule=rule)):
+        assert 0 <= res.extra["confirmed"] <= res.extra["lazy_pops"] <= res.bfs_calls
+        if rule == "reuse":
+            assert res.extra["confirmed"] > 0

@@ -75,9 +75,10 @@ def test_hlbub_spark_intervals_matches(spark):
     g = barabasi_albert(40, 2, seed=6)
     for h in (2, 3):
         ref = brute_force_cores(g, h)
-        res = h_lb_ub(g, h, s=2, spark=spark, parallel="intervals")
-        assert np.array_equal(res.core, ref), h
-        assert res.extra["tasks"] >= 1
+        for rule in ("reuse", "paper"):
+            res = h_lb_ub(g, h, s=2, spark=spark, parallel="intervals", rule=rule)
+            assert np.array_equal(res.core, ref), (h, rule)
+            assert res.extra["tasks"] >= 1
 
 
 def test_hlbub_spark_intervals_label_keeps_ub_kind(spark):
@@ -161,9 +162,9 @@ def test_hlbub_parallel_intervals_requires_spark():
         h_lb_ub(g, 2, parallel="intervals")
     # A misspelt or Spark-less mode must not run something else under its name.
     for kw in ({"parallel": "hdegree"}, {"parallel": "interval"}, {"ub_kind": "UB"},
-               {"improve": "paper"}):
+               {"rule": "Paper"}):
         with pytest.raises(ValueError):
             h_lb_ub(g, 2, **kw)
-    for lb in ("LB2", "none"):
+    for kw in ({"lb": "LB2"}, {"lb": "none"}, {"rule": "Paper"}):
         with pytest.raises(ValueError):
-            h_lb(g, 2, lb=lb)
+            h_lb(g, 2, **kw)
