@@ -138,8 +138,8 @@ def test_bench_buckets_ns_per_op(benchmark, cahe, monkeypatch):
 
 @pytest.mark.parametrize(
     "graph,kernel,decrement,visits,bfs_calls",
-    [("amzn", "lists", "at_h", 134_711, 7_467), ("amzn", "lists", "lazy", 107_265, 6_860),
-     ("cahe", "dense", "at_h", 3_190_624, 8_717), ("cahe", "dense", "lazy", 2_056_835, 6_705)],
+    [("amzn", "lists", "at_h", 134_711, 7_467), ("amzn", "lists", "lazy", 64_565, 3_922),
+     ("cahe", "dense", "at_h", 3_190_624, 8_717), ("cahe", "dense", "lazy", 1_155_012, 3_765)],
 )
 def test_bench_peel_us_per_peel(
     benchmark, request, monkeypatch, graph, kernel, decrement, visits, bfs_calls

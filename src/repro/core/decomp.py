@@ -15,16 +15,33 @@ selects:
   vertex cannot be interior to any of their <=h paths) and an h-BFS for the
   rest;
 - ``"lazy"`` (beyond the paper; the default of h-LB and h-LB+UB): the same
-  decrement at distance exactly h, but every other hit neighbour u goes back
-  to the bucket of its lower bound, ``max(keys[u], k)``, flagged lazy, and
-  is recomputed only when the sweep pops it. One h-BFS then covers every
-  hit u took since its last exact h-degree.
+  decrement at distance exactly h, but every other hit neighbour u not
+  already settled at k (the guard below) goes back to the bucket of its
+  lower bound, ``max(keys[u], k)``, flagged lazy, and is recomputed only
+  when the sweep pops it. One h-BFS then covers every hit u took since its
+  last exact h-degree.
 
 The lazy rule stays exact for the reason the lower-bound start does (§4.3):
 keys[u] <= core(u), and core(u) does not change while vertices of lower
 core index are peeled, so a lazy key never lies above the level at which
 exact peeling removes u. Since the sweep never goes back, a key below the
 current k waits at k.
+
+Two more steps of the lazy rule restore what Batagelj–Zaveršnik's own
+``if deg[u] > k`` test saves, which the paper's ``max(deg, k)`` clamp drops:
+
+- the guard: a hit neighbour u that is not lazy and has ``deg[u] <= k`` is
+  left as it is. ``deg[u]`` is u's exact h-degree when last computed,
+  lowered since only by exact at-h decrements; every peel since removed at
+  least itself from u's h-neighbourhood, so ``deg[u]`` bounds u's current
+  h-degree from above. u already sits in bucket k (its bucket is
+  ``max(deg[u], k')`` for the k' of its last move, and every bucket below k
+  is empty), so it is peeled at k whatever the hit changed;
+- peel on confirm: a lazy pop whose recomputed h-degree d is at most k is
+  peeled at once, from the h-BFS that just recomputed it. The graph has not
+  changed since, so that BFS is the one its peel would run, and a vertex
+  whose h-degree is at most k at level k has core index k whichever vertex
+  of bucket k goes first.
 
 Only the Alg. 3 and lazy rules start from lazy keys: a vertex sitting in
 bucket i with ``setlb[v] == True`` is there because of a *lower bound*;
@@ -61,7 +78,7 @@ def core_decomp(
     counter: Counter | None = None,
     order: list[int] | None = None,
     decrement: Decrement = "at_h",
-) -> tuple[int, int]:
+) -> tuple[int, int, int]:
     """Peel ``alive`` in bucket order, assigning cores in [kmin, kmax].
 
     Args:
@@ -76,9 +93,13 @@ def core_decomp(
         decrement: which reached neighbours of a peeled vertex are decremented
             instead of recomputed (see the module docstring).
 
-    Returns ``(lazy_pops, confirmed)``: how many pops found a lazy vertex
-    and recomputed its h-degree, and how many of those found it at most k,
-    so the vertex stayed in bucket k (both 0 for ``"none"`` and ``"all"``).
+    Returns ``(lazy_pops, confirmed, guarded)``: how many pops found a lazy
+    vertex and recomputed its h-degree; how many of those found it at most
+    k, so ``"at_h"`` put the vertex back in bucket k and ``"lazy"`` peeled
+    it at once; and how many hits the lazy rule's guard skipped because the
+    neighbour's upper bound ``deg[u]`` was already at most k (see the module
+    docstring). All three are 0 for ``"none"`` and ``"all"``, and
+    ``guarded`` is 0 for ``"at_h"``.
     """
     n = len(A)
     bk = Buckets(n)
@@ -97,30 +118,33 @@ def core_decomp(
     eager = decrement != "lazy"
     # The lazy rule's fallback keys: ``deg`` is overwritten as the peel goes.
     lb = None if eager else keys.tolist()
-    lazy_pops = confirmed = 0
+    lazy_pops = confirmed = guarded = 0
     for k in range(max(0, kmin - 1), kmax + 1):
         while bk.nonempty(k):
             v = bk.pop(k)
+            # The same h-BFS recomputes a lazy pop and peels a settled one.
+            reached, at_h = bounded_reach(A, v, alive, h, counter)
             if lazy[v]:
-                d = _count_nonzero(bounded_reach(A, v, alive, h, counter)[0])
+                d = _count_nonzero(reached)
                 deg[v] = d
                 lazy_pops += 1
-                # The paper re-buckets at B[deg]; deg >= k is guaranteed when
-                # the bound is valid, and k keeps the sweep forward-only even
-                # for partition stragglers whose true core is below kmin.
+                lazy[v] = 0
                 if d > k:
                     bk.add(v, d)
-                else:
+                    continue
+                confirmed += 1
+                # The paper re-buckets at B[deg]; deg >= k is guaranteed when
+                # the bound is valid, and k keeps the sweep forward-only even
+                # for partition stragglers whose true core is below kmin. The
+                # lazy rule peels a confirmed pop at once, from this BFS.
+                if eager:
                     bk.add(v, k)
-                    confirmed += 1
-                lazy[v] = 0
-                continue
+                    continue
             if k >= kmin:
                 core[v] = k
             if order is not None:
                 order.append(v)
             lazy[v] = 1
-            reached, at_h = bounded_reach(A, v, alive, h, counter)
             alive[v] = False
             if from_lb:
                 dec = at_h.tobytes()
@@ -131,9 +155,13 @@ def core_decomp(
                     d = deg[u] - 1
                 elif eager:
                     d = _count_nonzero(bounded_reach(A, u, alive, h, counter)[0])
+                elif deg[u] <= k:
+                    # Already in bucket k, and deg[u] bounds its h-degree.
+                    guarded += 1
+                    continue
                 else:
                     lazy[u] = 1
                     d = lb[u]
                 deg[u] = d
                 bk.move(u, d if d > k else k)
-    return lazy_pops, confirmed
+    return lazy_pops, confirmed, guarded

@@ -7,8 +7,10 @@ re-computations that dominate h-BZ.
 
 By default (``rule="reuse"``, beyond the paper) CoreDecomp keeps the same
 laziness after each peel: a hit neighbour not at distance exactly h goes back
-to its lower-bound bucket and is recomputed once, when popped (the ``"lazy"``
-rule of :mod:`repro.core.decomp`). ``rule="paper"`` recomputes it at once,
+to its lower-bound bucket and is recomputed once, when popped, unless it is
+already settled at the current level; a pop recomputed at or below the level
+is peeled at once (the ``"lazy"`` rule of :mod:`repro.core.decomp`).
+``rule="paper"`` recomputes every hit neighbour at once,
 as Algorithm 3 does (Tables 3 and 5). Cores are the same; only visits, BFS
 calls and the peel order differ.
 """
@@ -44,8 +46,15 @@ def h_lb(
             bound until popped; "paper" = Algorithm 3's eager recompute.
 
     ``extra["lazy_pops"]`` counts the pops that recomputed a lazy vertex and
-    ``extra["confirmed"]`` those that left it in the bucket it was popped
-    from.
+    ``extra["confirmed"]`` those that found its h-degree at most the current
+    level k: ``"paper"`` puts it back in bucket k and peels it on a later
+    pop, ``"reuse"`` peels it at once from the same h-BFS, which is exact
+    because nothing was peeled in between and any vertex of h-degree at most
+    k at level k has core index k. ``extra["guarded"]`` counts the hits
+    ``"reuse"`` skipped: a neighbour whose last exact h-degree, lowered only
+    by exact decrements, is at most k. That value bounds its current
+    h-degree from above, and the neighbour already sits in bucket k, so it
+    is peeled at k without a re-bucket or a recompute (0 under ``"paper"``).
     """
     check_h(h)
     if lb not in get_args(LowerBoundKind):
@@ -59,8 +68,9 @@ def h_lb(
     lb_vec = lb2 if lb == "lb2" else lb1
     core = np.zeros(n, dtype=np.int64)
     order: list[int] = []
-    lazy_pops, confirmed = core_decomp(A, h, 0, n, lb_vec, np.ones(n, dtype=bool), core,
-                                       counter, order, RULE_DECREMENT[rule])
+    lazy_pops, confirmed, guarded = core_decomp(
+        A, h, 0, n, lb_vec, np.ones(n, dtype=bool), core, counter, order,
+        RULE_DECREMENT[rule])
     return CoreResult(
         core=core,
         h=h,
@@ -69,5 +79,5 @@ def h_lb(
         bfs_calls=counter.bfs_calls,
         order=order,
         extra={"lb": lb_vec, "kernel": kernel_name(A), "rule": rule,
-               "lazy_pops": lazy_pops, "confirmed": confirmed},
+               "lazy_pops": lazy_pops, "confirmed": confirmed, "guarded": guarded},
     )

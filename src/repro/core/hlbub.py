@@ -14,10 +14,11 @@ higher partition has assigned (still over the whole of G[V[k]]), which
 leaves the cleaned V[k], LB3 and every core unchanged (see
 :func:`repro.core.bounds.improve_lb`). CoreDecomp puts a hit neighbour not at
 distance exactly h back at its lower bound and recomputes it once, when
-popped (the ``"lazy"`` rule of :mod:`repro.core.decomp`). ``rule="paper"``
-runs Algorithm 6's batch from every vertex of V[k] and Algorithm 3's eager
-recompute (Tables 3 and 5). Cores are the same; only visits and BFS calls
-differ.
+popped, unless it is already settled at the current level, and peels a pop
+recomputed at or below the level at once (the ``"lazy"`` rule of
+:mod:`repro.core.decomp`). ``rule="paper"`` runs Algorithm 6's batch from
+every vertex of V[k] and Algorithm 3's eager recompute (Tables 3 and 5).
+Cores are the same; only visits and BFS calls differ.
 
 Two execution modes reproduce the paper's §4.6 multithreading options:
 
@@ -86,7 +87,7 @@ def _run_interval(
     ``core`` holds the indexes earlier (higher) partitions assigned and 0
     for every vertex still unassigned. Returns the partition's record:
     |V[k]| before and after cleaning, how many h-BFS ImproveLB ran and
-    skipped, and CoreDecomp's lazy pops and how many it confirmed.
+    skipped, and CoreDecomp's lazy pops, confirmed pops and guarded hits.
     """
     vk0 = ub >= kmin
     assigned = core > 0 if rule == "reuse" else np.zeros(len(core), dtype=bool)
@@ -95,11 +96,11 @@ def _run_interval(
     skipped = int(np.count_nonzero(vk0 & assigned))
     rec = {"kmin": kmin, "kmax": kmax, "vk_in": vk_in,
            "vk_out": int(np.count_nonzero(vk)), "bfs_ran": vk_in - skipped,
-           "bfs_skipped": skipped, "lazy_pops": 0, "confirmed": 0}
+           "bfs_skipped": skipped, "lazy_pops": 0, "confirmed": 0, "guarded": 0}
     if vk.any():
         lb3_acc[vk] = np.maximum(lb3_acc[vk], lb3_star[vk])
         keys = np.maximum(np.maximum(core, lb3_acc), kmin - 1)
-        rec["lazy_pops"], rec["confirmed"] = core_decomp(
+        rec["lazy_pops"], rec["confirmed"], rec["guarded"] = core_decomp(
             A, h, kmin, kmax, keys, vk, core, counter, decrement=RULE_DECREMENT[rule])
     return rec
 
@@ -138,10 +139,15 @@ def h_lb_ub(
     ``extra["partitions"]`` holds one record per interval of the sequential
     sweep (the intervals mode keeps none): kmin, kmax, |V[k]| before and
     after cleaning (``vk_in``, ``vk_out``), the h-BFS ImproveLB ran and
-    skipped (``bfs_ran + bfs_skipped == vk_in``), and CoreDecomp's lazy pops
-    and how many of them it confirmed without a re-bucket (``lazy_pops``,
-    ``confirmed``). ``extra["lazy_pops"]`` and ``extra["confirmed"]`` are
-    their totals.
+    skipped (``bfs_ran + bfs_skipped == vk_in``), and CoreDecomp's counts
+    as in :func:`repro.core.hlb.h_lb`: its lazy pops (``lazy_pops``), those
+    whose recomputed h-degree was at most the current level k
+    (``confirmed``: ``"reuse"`` peels them at once from that h-BFS,
+    ``"paper"`` puts them back in bucket k), and the hits ``"reuse"`` skipped
+    because the neighbour's last exact h-degree, an upper bound on its
+    current one, was already at most k (``guarded``; it sits in bucket k and
+    is peeled there). ``extra["lazy_pops"]``, ``extra["confirmed"]`` and
+    ``extra["guarded"]`` are their totals.
     """
     check_h(h)
     if ub_kind not in get_args(UpperBoundKind):
@@ -180,8 +186,8 @@ def h_lb_ub(
                           spark_for_batches, rule)
             for kmin, kmax in intervals
         ]
-        extra["lazy_pops"] = sum(p["lazy_pops"] for p in parts)
-        extra["confirmed"] = sum(p["confirmed"] for p in parts)
+        for key in ("lazy_pops", "confirmed", "guarded"):
+            extra[key] = sum(p[key] for p in parts)
     name = "h-LB+UB" if ub_kind == "ub" else "h-LB+UB[hdeg]"
     if parallel != "none":
         name += "[spark-hdeg]" if parallel == "hdegree" else "[spark-intervals]"

@@ -200,8 +200,8 @@ def test_golden_counts_coli_h3():
     assert (bz.visits, bz.bfs_calls) == (2_682_312, 10_442)
     assert (lb.visits, lb.bfs_calls) == (236_938, 2_309)
     assert (lbub.visits, lbub.bfs_calls) == (722_220, 5_444)
-    assert (lb_plus.visits, lb_plus.bfs_calls) == (216_328, 2_246)
-    assert (lbub_plus.visits, lbub_plus.bfs_calls) == (225_627, 2_929)
+    assert (lb_plus.visits, lb_plus.bfs_calls) == (123_798, 1_502)
+    assert (lbub_plus.visits, lbub_plus.bfs_calls) == (169_368, 2_271)
     assert np.array_equal(lbub.core, lbub_plus.core)
     assert np.array_equal(lb.core, lb_plus.core)
     c = Counter()
@@ -209,7 +209,7 @@ def test_golden_counts_coli_h3():
     assert (c.visits, c.bfs_calls) == (63_637, 656)
     assert _digest(bz.order) == "0954513321731c6e"
     assert _digest(lb.order) == "4361e93c56fe800b"
-    assert _digest(lb_plus.order) == "38f704384d8b44a0"
+    assert _digest(lb_plus.order) == "8cb6675127406172"
     assert np.array_equal(bz.core, lb.core) and np.array_equal(bz.core, lbub.core)
 
 
@@ -237,8 +237,8 @@ def test_golden_counts_coli_h3_both_kernels(kernel, monkeypatch):
     lower_bounds(A, 3, c)
     core_decomp(A, 3, 0, n, lb2, np.ones(n, dtype=bool), lb_core, c, order,
                 decrement="lazy")
-    assert (c.visits, c.bfs_calls) == (216_328, 2_246)  # h-LB, lazy peel
-    assert _digest(order) == "38f704384d8b44a0"
+    assert (c.visits, c.bfs_calls) == (123_798, 1_502)  # h-LB, lazy peel
+    assert _digest(order) == "8cb6675127406172"
     assert np.array_equal(core, lb_core)
     c = Counter()
     upper_bound(A, 3, c)
@@ -255,18 +255,18 @@ def test_golden_counts_coli_h3_both_kernels(kernel, monkeypatch):
     assert (lbub.visits, lbub.bfs_calls) == (722_220, 5_444)  # h-LB+UB
     assert np.array_equal(core, lbub.core)
     lbub = h_lb_ub(g, 3)
-    assert (lbub.visits, lbub.bfs_calls) == (225_627, 2_929)  # both rules reuse
+    assert (lbub.visits, lbub.bfs_calls) == (169_368, 2_271)  # both rules reuse
     assert np.array_equal(core, lbub.core)
 
 
 @pytest.mark.parametrize(
     "name,h,bz,lb,lbub,lb_plus,lbub_plus,ub,bz_digest,lb_digest,lb_plus_digest", [
         ("amzn", 2, (1_023_010, 19_947), (151_547, 11_467), (406_456, 20_693),
-         (124_101, 10_860), (272_078, 17_463), (84_769, 4_000),
-         "7e1975548d00c85c", "d634a35612046973", "4692376d4414ccd1"),
+         (81_401, 7_922), (228_399, 14_429), (84_769, 4_000),
+         "7e1975548d00c85c", "d634a35612046973", "5276f64f37b1cacb"),
         ("rnPA", 4, (928_417, 20_722), (584_239, 16_290), (1_272_661, 29_988),
-         (500_227, 14_345), (723_064, 19_854), (114_212, 2_888),
-         "039eb488137aa122", "4c155d3fa682d9ed", "d007df1470a78235"),
+         (300_953, 8_905), (514_993, 14_015), (114_212, 2_888),
+         "039eb488137aa122", "4c155d3fa682d9ed", "88274ca2a2303f23"),
     ], ids=["amzn-h2", "rnPA-h4"])
 def test_golden_counts_sparse_road(name, h, bz, lb, lbub, lb_plus, lbub_plus, ub,
                                    bz_digest, lb_digest, lb_plus_digest):

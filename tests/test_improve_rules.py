@@ -14,8 +14,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro.core.hlb as hlb_mod
 import repro.core.hlbub as hlbub_mod
+from repro.coloring import greedy_distance_h_coloring, is_valid_distance_h_coloring
 from repro.core import h_lb, h_lb_ub
+from repro.core.bounds import lower_bounds
+from repro.core.kernels import Counter, bounded_reach, substrate
 from repro.core.reference import brute_force_cores
 from repro.graphs import datasets
 from tests.conftest import small_graph
@@ -84,8 +88,8 @@ def test_hypothesis_rules_agree_per_partition(n, h, s, data):
 @pytest.mark.parametrize("rule", ["paper", "reuse"])
 def test_partition_records(rule):
     """Each partition reports |V[k]| before and after cleaning, the h-BFS
-    ImproveLB ran and skipped, and its lazy pops; the paper's batch skips
-    none."""
+    ImproveLB ran and skipped, its lazy pops, confirmed pops and guarded
+    hits; the paper's batch skips none and its eager peel guards none."""
     res = h_lb_ub(datasets.load("coli"), 3, rule=rule)
     parts = res.extra["partitions"]
     assert res.extra["rule"] == rule
@@ -93,19 +97,75 @@ def test_partition_records(rule):
     for p in parts:
         assert p["bfs_ran"] + p["bfs_skipped"] == p["vk_in"] >= p["vk_out"]
         if rule == "paper":
-            assert p["bfs_skipped"] == 0
+            assert p["bfs_skipped"] == p["guarded"] == 0
     if rule == "reuse":
         assert sum(p["bfs_skipped"] for p in parts) > 0
-    assert sum(p["lazy_pops"] for p in parts) == res.extra["lazy_pops"]
-    assert sum(p["confirmed"] for p in parts) == res.extra["confirmed"]
+        assert sum(p["guarded"] for p in parts) > 0
+    for key in ("lazy_pops", "confirmed", "guarded"):
+        assert sum(p[key] for p in parts) == res.extra[key]
 
 
 @pytest.mark.parametrize("rule", ["paper", "reuse"])
 def test_lazy_pops_are_counted(rule):
     """Every lazy pop runs one h-BFS, and a confirmed pop is a lazy pop
-    whose recomputed h-degree kept it in its bucket."""
+    whose recomputed h-degree was at most k: the paper's rule puts it back
+    in bucket k, the reuse rule peels it at once. Only the reuse rule
+    guards hits (skips a neighbour already settled at k). With no eager
+    recompute, the reuse rule's h-LB peel runs one h-BFS per peeled vertex
+    and one per lazy pop that is not confirmed."""
     g = datasets.load("coli")
     for res in (h_lb(g, 3, rule=rule), h_lb_ub(g, 3, rule=rule)):
         assert 0 <= res.extra["confirmed"] <= res.extra["lazy_pops"] <= res.bfs_calls
         if rule == "reuse":
-            assert res.extra["confirmed"] > 0
+            assert res.extra["confirmed"] > 0 and res.extra["guarded"] > 0
+        else:
+            assert res.extra["guarded"] == 0
+    if rule == "reuse":
+        c = Counter()
+        lower_bounds(substrate(g), 3, c)
+        res = h_lb(g, 3)
+        assert res.bfs_calls == (c.bfs_calls + g.n + res.extra["lazy_pops"]
+                                 - res.extra["confirmed"])
+
+
+def _check_peel_order(g, h, order, core):
+    """``order`` is a permutation of the vertices, each peeled with at most
+    core(v) h-neighbours left, and the colouring built from it is valid."""
+    assert sorted(order) == list(range(g.n))
+    alive = np.ones(g.n, dtype=bool)
+    for v in order:
+        assert np.count_nonzero(bounded_reach(g.adjacency, v, alive, h)[0]) <= core[v]
+        alive[v] = False
+    assert is_valid_distance_h_coloring(g, h, greedy_distance_h_coloring(g, h, order))
+
+
+@pytest.mark.parametrize("kernel", ["dense", "lists"])
+def test_reuse_peel_matches_brute_force_on_both_kernels(kernel):
+    """The default rule's guard and peel-on-confirm against the definitional
+    cores, with each substrate handed to h-LB and h-LB+UB: equal cores inside
+    LB <= core <= UB, a valid peel order, and both branches taken."""
+    fired = {"h-LB": [0, 0], "h-LB+UB": [0, 0]}
+    with pytest.MonkeyPatch.context() as mp:
+        for mod in (hlb_mod, hlbub_mod):
+            mp.setattr(mod, "substrate",
+                       lambda g: g.adjacency if kernel == "dense" else g.adjacency_lists)
+        for model in ("er", "er-dense", "ba", "ws", "grid"):
+            for seed in (0, 1, 2):
+                g = small_graph(model, seed)
+                for h in (2, 3):
+                    ref = brute_force_cores(g, h)
+                    lb = h_lb(g, h)
+                    assert lb.extra["kernel"] == kernel
+                    assert np.array_equal(lb.core, ref)
+                    assert (lb.extra["lb"] <= ref).all()
+                    _check_peel_order(g, h, lb.order, ref)
+                    for s in (1, None):
+                        ub = h_lb_ub(g, h, s=s)
+                        assert np.array_equal(ub.core, ref)
+                        assert (ub.extra["lb2"] <= ref).all() and (ref <= ub.extra["ub"]).all()
+                        fired["h-LB+UB"][0] += ub.extra["guarded"]
+                        fired["h-LB+UB"][1] += ub.extra["confirmed"]
+                    fired["h-LB"][0] += lb.extra["guarded"]
+                    fired["h-LB"][1] += lb.extra["confirmed"]
+    for algo, (guarded, confirmed) in fired.items():
+        assert guarded > 0 and confirmed > 0, algo
