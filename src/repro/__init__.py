@@ -1,7 +1,7 @@
 """Reproduction of "Distance-generalized Core Decomposition" (SIGMOD 2019).
 
 Subpackages:
-    graphs    — graph substrate (generators, datasets, metrics, Spark layer)
+    graphs    — graph substrate (generators, datasets, metrics)
     core      — the paper's algorithms: h-BZ, h-LB, h-LB+UB (+ references)
     pregel    — distributed dataflow layer (h-degree, BSP decomposition)
     clubs     — maximum h-club solvers + Algorithm 7 wrapper

@@ -11,9 +11,8 @@ from typing import Callable
 
 import numpy as np
 
-from repro.clubs.clubs import ClubBudgetExceeded, star_incumbent
-from repro.core import BudgetExceeded, Counter, h_lb_ub
-from repro.core.kernels import check_h, substrate
+from repro.clubs.clubs import star_incumbent
+from repro.core.kernels import Counter, check_h, substrate
 from repro.core.types import CoreResult
 from repro.graphs.graph import Graph
 
@@ -24,7 +23,7 @@ def max_h_club_with_cores(
     g: Graph,
     h: int,
     algo: BlackBox,
-    decomposition: CoreResult | None = None,
+    decomposition: CoreResult,
     counter: Counter | None = None,
 ) -> np.ndarray:
     """Paper Algorithm 7: wrap ``algo`` with top-down core restriction.
@@ -33,11 +32,11 @@ def max_h_club_with_cores(
         algo: exact solver with the max_h_club_dbc / max_h_club_itdbc
             signature; called on the top core, then on at most one lower
             core.
-        decomposition: precomputed (k,h)-core decomposition (computed with
-            h-LB+UB if omitted — its cost is part of the wrapper's runtime,
-            as in the paper's Table 6).
-        counter: charged with every h-BFS, the decomposition's included;
-            when it runs out the wrapper raises :class:`ClubBudgetExceeded`.
+        decomposition: the (k,h)-core decomposition of ``g`` at this h. The
+            caller computes it once and, as the paper's Table 6 does, adds
+            its cost to the wrapper's runtime.
+        counter: charged with every h-BFS of the solver calls; when it runs
+            out the solver raises :class:`ClubBudgetExceeded`.
     """
     check_h(h)
     # Seed with the global star incumbent (a valid h-club for h >= 2): the
@@ -45,11 +44,6 @@ def max_h_club_with_cores(
     # start, exactly as a warm-started IP solver would. They also carry it
     # (or better) on the ClubBudgetExceeded they raise.
     best = star_incumbent(substrate(g), np.ones(g.n, dtype=bool), h)
-    if decomposition is None:
-        try:
-            decomposition = h_lb_ub(g, h, counter=counter)
-        except BudgetExceeded:
-            raise ClubBudgetExceeded(best) from None
     core = decomposition.core
     # Theorem 3: a club larger than ``best`` lies in the (|best|,h)-core. If
     # |best| >= k*, that core is inside the k*-core just searched, so

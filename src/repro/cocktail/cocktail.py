@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.core import h_lb_ub
 from repro.core.kernels import bounded_reach, substrate
 from repro.core.types import CoreResult
 from repro.graphs.graph import Graph
@@ -20,9 +19,10 @@ def cocktail_party(
     g: Graph,
     query: list[int],
     h: int,
-    decomposition: CoreResult | None = None,
+    decomposition: CoreResult,
 ) -> tuple[np.ndarray, int]:
-    """Solve Problem 2; returns (solution mask, its guaranteed min h-degree k).
+    """Solve Problem 2 from ``decomposition``, the (k,h)-core decomposition
+    of ``g``; returns (solution mask, its guaranteed min h-degree k).
 
     Returns an empty mask with k = -1 when the query vertices are not
     connected even in the 0-core (i.e., not in one component of G). Raises
@@ -31,8 +31,6 @@ def cocktail_party(
     q = np.asarray(query, dtype=np.int64)
     if q.size == 0 or q.min() < 0 or q.max() >= g.n:
         raise ValueError(f"query must be non-empty ids in [0, {g.n}), got {query!r}")
-    if decomposition is None:
-        decomposition = h_lb_ub(g, h)
     core = decomposition.core
     k_max = int(core[q].min())  # Q must survive in the core, so k <= min core(Q)
     A = substrate(g)

@@ -10,25 +10,22 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.core import h_bz
 from repro.core.kernels import bounded_reach, check_h, distance_matrix, substrate
 from repro.graphs.graph import Graph
 
 
-def greedy_distance_h_coloring(
-    g: Graph, h: int, order: list[int] | None = None
-) -> np.ndarray:
+def greedy_distance_h_coloring(g: Graph, h: int, order: list[int]) -> np.ndarray:
     """Greedy distance-h coloring in reverse (k,h)-core peel order.
 
-    Each vertex gets the smallest color unused among already-colored vertices
-    within G-distance h (the power-graph neighborhood, so the produced
-    coloring is always *valid* per Definition 3), read from one h-BFS per
-    vertex on the graph's kernel substrate. Raises ``ValueError`` unless
-    ``order`` is a permutation of ``0..n-1``.
+    ``order`` is the peel order of a decomposition of ``g`` at this h
+    (``CoreResult.order``, which h-BZ and h-LB record). Each vertex gets the
+    smallest color unused among already-colored vertices within G-distance h
+    (the power-graph neighborhood, so the produced coloring is always
+    *valid* per Definition 3), read from one h-BFS per vertex on the graph's
+    kernel substrate. Raises ``ValueError`` unless ``order`` is a
+    permutation of ``0..n-1``.
     """
     check_h(h)
-    if order is None:
-        order = h_bz(g, h).order
     if sorted(int(v) for v in order) != list(range(g.n)):
         raise ValueError(f"order must be a permutation of 0..{g.n - 1}")
     A = substrate(g)

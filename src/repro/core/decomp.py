@@ -144,7 +144,6 @@ def core_decomp(
                 core[v] = k
             if order is not None:
                 order.append(v)
-            lazy[v] = 1
             alive[v] = False
             if from_lb:
                 dec = at_h.tobytes()

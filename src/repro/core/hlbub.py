@@ -62,9 +62,9 @@ def build_intervals(ub: np.ndarray, lb2: np.ndarray, s: int) -> list[tuple[int, 
     lb0 = int(lb2.min()) if len(lb2) else 0
     u_vals = sorted(set(int(x) for x in ub) | {lb0 - 1}, reverse=True)
     intervals: list[tuple[int, int]] = []
-    for i in range(0, len(u_vals) - 1, max(1, s)):
+    for i in range(0, len(u_vals) - 1, s):
         kmax = u_vals[i]
-        kmin = u_vals[min(i + max(1, s), len(u_vals) - 1)] + 1
+        kmin = u_vals[min(i + s, len(u_vals) - 1)] + 1
         intervals.append((kmin, kmax))
     return intervals
 
@@ -119,11 +119,11 @@ def h_lb_ub(
 
     Args:
         s: partition size S — how many contiguous upper-bound values each
-           interval covers. ``None`` (default) picks S adaptively so the
-           sweep has ~12 partitions: the paper leaves S as an input
-           parameter, and a fixed small S degenerates on graphs with many
-           distinct upper-bound values (each partition pays an ImproveLB
-           batch scan of its subgraph).
+           interval covers, an integer >= 1. ``None`` (default) picks S
+           adaptively so the sweep has ~12 partitions: the paper leaves S
+           as an input parameter, and a fixed small S degenerates on graphs
+           with many distinct upper-bound values (each partition pays an
+           ImproveLB batch scan of its subgraph).
         parallel: "none" (pure driver), "hdegree" (Spark fans out the batch
            h-degree computations) or "intervals" (independent interval
            sub-computations as Spark tasks); both Spark modes need ``spark``.
@@ -150,6 +150,8 @@ def h_lb_ub(
     ``extra["guarded"]`` are their totals.
     """
     check_h(h)
+    if s is not None:
+        check_h(s, "s")
     if ub_kind not in get_args(UpperBoundKind):
         raise ValueError(f"unknown upper bound {ub_kind!r}")
     if rule not in RULE_DECREMENT:

@@ -5,9 +5,9 @@ point-to-point distances (i.e., the total number of possibly repeated
 vertices visited in all h-bfs)". Every kernel here charges that count to a
 :class:`Counter`, which can also enforce a visit budget and a wall-clock
 deadline, so that a run the paper marks "NT" (did not terminate) stops
-instead of running for 20 hours. Which budget binds first decides whether a
-cell is NT; with the table harness's settings that is the wall clock, so NT
-follows the host's speed.
+instead of running for 20 hours. The tables set only the wall-clock cap, so
+NT follows the host's speed until ROADMAP item 11 gives a host-independent
+rule.
 
 The kernel walks one of two adjacency substrates of a :class:`Graph`, chosen
 once per graph by :func:`substrate`: the dense boolean matrix (a NumPy row
@@ -82,11 +82,12 @@ class Counter:
             raise BudgetExceeded("wall-clock budget exceeded")
 
 
-def check_h(h: int) -> None:
+def check_h(h: int, name: str = "h") -> None:
     """Reject a distance threshold that is not an integer >= 1 (a BFS with
-    h = 2.5 would silently run to distance 3)."""
+    h = 2.5 would silently run to distance 3); h-LB+UB's partition size S,
+    checked as ``name="s"``, obeys the same rule."""
     if not isinstance(h, (int, np.integer)) or h < 1:
-        raise ValueError(f"h must be >= 1 and an integer, got {h!r}")
+        raise ValueError(f"{name} must be >= 1 and an integer, got {h!r}")
 
 
 def substrate(g: Graph) -> Adjacency:
@@ -290,6 +291,6 @@ def connected_components(A: Adjacency, alive: np.ndarray) -> np.ndarray:
     return label
 
 
-def timed_deadline(seconds: float | None) -> float | None:
-    """Absolute monotonic deadline ``seconds`` from now (None passes through)."""
-    return None if seconds is None else time.monotonic() + seconds
+def timed_deadline(seconds: float) -> float:
+    """Absolute monotonic deadline ``seconds`` from now."""
+    return time.monotonic() + seconds

@@ -11,7 +11,6 @@ from itertools import combinations
 
 import numpy as np
 
-from repro.core import h_lb_ub
 from repro.core.kernels import all_h_degrees, check_h, substrate
 from repro.core.types import CoreResult
 from repro.graphs.graph import Graph
@@ -27,12 +26,9 @@ def avg_h_degree(g: Graph, mask: np.ndarray, h: int) -> float:
     return float(degs[mask].sum()) / size
 
 
-def core_based_densest(
-    g: Graph, h: int, decomposition: CoreResult | None = None
-) -> tuple[np.ndarray, float]:
-    """The core with maximum average h-degree (the paper's approximation)."""
-    if decomposition is None:
-        decomposition = h_lb_ub(g, h)
+def core_based_densest(g: Graph, h: int, decomposition: CoreResult) -> tuple[np.ndarray, float]:
+    """The core with maximum average h-degree (the paper's approximation),
+    read from ``decomposition``, the (k,h)-core decomposition of ``g``."""
     core = decomposition.core
     best_mask = np.ones(g.n, dtype=bool)
     best_f = avg_h_degree(g, best_mask, h)

@@ -13,13 +13,9 @@ from repro.core.kernels import connected_components, substrate
 from repro.graphs.graph import Graph
 
 
-def _rng(seed: int) -> np.random.Generator:
-    return np.random.default_rng(seed)
-
-
 def erdos_renyi(n: int, p: float, seed: int = 0) -> Graph:
     """G(n, p) — uniform random graph."""
-    g = _rng(seed)
+    g = np.random.default_rng(seed)
     us, vs = np.triu_indices(n, k=1)
     keep = g.random(len(us)) < p
     return Graph.from_edges(n, np.stack([us[keep], vs[keep]], axis=1))
@@ -30,10 +26,9 @@ def barabasi_albert(n: int, m: int, seed: int = 0) -> Graph:
 
     Produces hub-skewed, small-diameter graphs (social / youtube regime).
     """
-    g = _rng(seed)
+    g = np.random.default_rng(seed)
     edges: list[tuple[int, int]] = []
     # Repeated-endpoint list implements preferential attachment in O(1).
-    targets = list(range(m))
     repeated: list[int] = []
     for v in range(m, n):
         chosen = set()
@@ -45,7 +40,6 @@ def barabasi_albert(n: int, m: int, seed: int = 0) -> Graph:
         for u in chosen:
             edges.append((u, v))
             repeated.extend([u, v])
-        targets.append(v)
     return Graph.from_edges(n, np.array(edges, dtype=np.int64))
 
 
@@ -54,7 +48,7 @@ def watts_strogatz(n: int, k: int, p: float, seed: int = 0) -> Graph:
 
     Low p keeps the diameter large (amazon co-purchase regime, diam 44).
     """
-    g = _rng(seed)
+    g = np.random.default_rng(seed)
     edges = []
     for v in range(n):
         for j in range(1, k // 2 + 1):
@@ -75,7 +69,7 @@ def grid2d(rows: int, cols: int, extra_p: float = 0.0, seed: int = 0) -> Graph:
     Average degree ~2.8–3, huge diameter — the roadNet-PA/TX regime where
     the paper finds h-LB beats h-LB+UB.
     """
-    g = _rng(seed)
+    g = np.random.default_rng(seed)
     edges = []
     def vid(r: int, c: int) -> int:
         return r * cols + c
@@ -104,7 +98,7 @@ def caveman(sizes: list[int], p_intras: list[float], n_inter: int,
     """
     if len(sizes) != len(p_intras):
         raise ValueError("sizes and p_intras must have one entry per community")
-    g = _rng(seed)
+    g = np.random.default_rng(seed)
     n_communities = len(sizes)
     bases = np.concatenate([[0], np.cumsum(sizes)])
     n = int(bases[-1])
@@ -147,7 +141,7 @@ def collab_cliques(
     toward low author ids (density ~ x^(1/gamma - 1)), reproducing that
     hierarchy.
     """
-    g = _rng(seed)
+    g = np.random.default_rng(seed)
     edges = []
     for _ in range(n_papers):
         sz = int(g.integers(2, max_authors + 1))
@@ -167,7 +161,7 @@ def hub_boost(g0: Graph, n_hubs: int, fanout: int, seed: int = 0) -> Graph:
     Pushes max degree far above the mean (soc-youtube / hyves regime, where
     max degree is ~10^4 on avg degree ~4).
     """
-    g = _rng(seed)
+    g = np.random.default_rng(seed)
     deg = g0.degrees
     hubs = np.argsort(-deg)[:n_hubs]
     extra = []
@@ -186,7 +180,7 @@ def ensure_connected(g0: Graph, seed: int = 0) -> Graph:
 
     Components are labelled on ``substrate(g0)``, so a sparse graph's n x n
     matrix is never built here."""
-    rng = _rng(seed)
+    rng = np.random.default_rng(seed)
     comp = connected_components(substrate(g0), np.ones(g0.n, dtype=bool))
     labels = np.unique(comp)
     if len(labels) <= 1:

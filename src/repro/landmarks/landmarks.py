@@ -77,15 +77,14 @@ def select_landmarks(
 
     Methods: "core" (random from the maximum (k,h)-core — the paper's
     proposal), "cc" (top closeness), "bc" (top betweenness), "hdeg"
-    (top h-degree in G).
+    (top h-degree in G). "core" reads ``core``, the (k,h)-core indexes of
+    ``g`` at this h, and raises ``ValueError`` without it.
     """
     check_h(h)
     rng = np.random.default_rng(seed)
     if method == "core":
         if core is None:
-            from repro.core import h_lb_ub
-
-            core = h_lb_ub(g, h).core
+            raise ValueError('method "core" requires the core indexes')
         top = np.flatnonzero(core == core.max(initial=0))
         if len(top) <= ell:
             # Top core smaller than ell: fill from the next cores down.

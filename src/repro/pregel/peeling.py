@@ -9,12 +9,14 @@ removes nothing, k advances. Equivalent to sequential peeling because the
 fix-point.
 
 h-degrees per superstep come from the Spark RDD batch
-(:func:`repro.pregel.hdegree.h_degrees_spark`) or the local kernel.
+(:func:`repro.core.bounds.batch_h_degrees` given the SparkSession) or the local
+kernel.
 """
 from __future__ import annotations
 
 import numpy as np
 
+from repro.core.bounds import batch_h_degrees
 from repro.core.kernels import Counter, all_h_degrees, check_h, kernel_name, substrate
 from repro.core.types import CoreResult
 from repro.graphs.graph import Graph
@@ -40,11 +42,8 @@ def kh_core_bsp(
         nonlocal rounds
         rounds += 1
         if spark is not None:
-            from repro.pregel.hdegree import h_degrees_spark
-
-            degs, visits, calls = h_degrees_spark(spark, A, alive, h)
-            counter.charge(visits, calls)
-            return degs
+            return batch_h_degrees(A, alive, h, counter, spark)
+        # This module's own binding: khbench/spans.py wraps it.
         return all_h_degrees(A, alive, h, counter)
 
     degs = degrees()

@@ -14,6 +14,7 @@ from repro.tables.common import NT, run_with_budget
 
 DATASETS = ["coli", "cele", "jazz", "FBco", "caHe", "caAs"]
 H_VALUES = [1, 2, 3, 4, 5]
+TIME_BUDGET_S = 120.0  # per cell
 
 # Paper Table 2: dataset -> {h: (max core index, distinct cores)}.
 PAPER_TABLE2 = {
@@ -26,7 +27,7 @@ PAPER_TABLE2 = {
 }
 
 
-def run(fast: bool = False, time_budget_s: float = 120.0) -> pd.DataFrame:
+def run(fast: bool = False) -> pd.DataFrame:
     """Build the Table-2 analogue (max core / distinct cores per h)."""
     names = ["coli", "jazz"] if fast else DATASETS
     hs = [1, 2] if fast else H_VALUES
@@ -35,7 +36,7 @@ def run(fast: bool = False, time_budget_s: float = 120.0) -> pd.DataFrame:
         g = load(name)
         row: dict = {"dataset": name}
         for h in hs:
-            cell = run_with_budget(h_lb_ub, g, h, time_budget_s=time_budget_s)
+            cell = run_with_budget(h_lb_ub, g, h, time_budget_s=TIME_BUDGET_S)
             if cell.runtime_s == NT:
                 row[f"h={h}"] = NT
             else:

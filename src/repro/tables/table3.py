@@ -25,6 +25,7 @@ from repro.tables.common import NT, CellResult, run_with_budget
 
 DATASETS = ["FBco", "caHe", "caAs", "doub", "amzn", "rnPA", "rnTX", "sytb", "hyves"]
 H_VALUES = [2, 3, 4]
+TIME_BUDGET_S = 60.0  # per cell
 ALGOS = [("h-BZ", h_bz), ("h-LB", partial(h_lb, rule="paper")), ("h-LB+", h_lb),
          ("h-LB+UB", partial(h_lb_ub, rule="paper")), ("h-LB+UB+", h_lb_ub)]
 
@@ -60,7 +61,7 @@ PAPER_TABLE3 = {
 }
 
 
-def run(fast: bool = False, time_budget_s: float = 60.0) -> pd.DataFrame:
+def run(fast: bool = False) -> pd.DataFrame:
     """Run the Table-3 sweep; one output row per (dataset, algorithm)."""
     names = ["rnPA"] if fast else DATASETS
     hs = [2] if fast else H_VALUES
@@ -74,7 +75,7 @@ def run(fast: bool = False, time_budget_s: float = 60.0) -> pd.DataFrame:
                 if skipped:
                     cell = CellResult(runtime_s=NT, visits=NT)
                 else:
-                    cell = run_with_budget(fn, g, h, time_budget_s=time_budget_s)
+                    cell = run_with_budget(fn, g, h, time_budget_s=TIME_BUDGET_S)
                     skipped = cell.runtime_s == NT
                 row[f"time h={h}"] = cell.runtime_s
                 row[f"visits h={h}"] = cell.visits

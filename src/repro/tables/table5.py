@@ -16,6 +16,7 @@ from repro.tables.common import run_with_budget
 
 DATASETS = ["caHe", "caAs", "amzn", "rnPA"]
 H_VALUES = [2, 3, 4]
+TIME_BUDGET_S = 60.0  # per cell
 
 VARIANTS = [
     ("no LB", lambda g, h, counter: h_bz(g, h, counter=counter)),
@@ -46,7 +47,7 @@ PAPER_TABLE5 = {
 }
 
 
-def run(fast: bool = False, time_budget_s: float = 60.0) -> pd.DataFrame:
+def run(fast: bool = False) -> pd.DataFrame:
     """Run every bound variant per (dataset, h) and report runtimes."""
     names = ["rnPA"] if fast else DATASETS
     hs = [2] if fast else H_VALUES
@@ -56,7 +57,7 @@ def run(fast: bool = False, time_budget_s: float = 60.0) -> pd.DataFrame:
         for h in hs:
             row: dict = {"dataset": name, "h": h}
             for label, fn in VARIANTS:
-                cell = run_with_budget(fn, g, h, time_budget_s=time_budget_s)
+                cell = run_with_budget(fn, g, h, time_budget_s=TIME_BUDGET_S)
                 row[label] = cell.runtime_s
                 row[f"{label} visits"] = cell.visits
             p = PAPER_TABLE5[name].get(h) if name in PAPER_TABLE5 else None

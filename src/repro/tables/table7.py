@@ -18,6 +18,9 @@ from repro.landmarks import estimate_error, select_landmarks
 
 DATASETS = ["FBco", "caHe", "caAs", "doub"]
 H_VALUES = [1, 2, 3, 4]
+ELL = 20  # landmarks per selection
+N_PAIRS = 500  # sampled vertex pairs per error estimate (50 when fast)
+REPEATS = 5  # selections averaged per cell (2 when fast)
 
 # Paper Table 7 (top block, approximation error).
 PAPER_TABLE7 = {
@@ -36,17 +39,11 @@ PAPER_TABLE7 = {
 }
 
 
-def run(
-    fast: bool = False,
-    ell: int = 20,
-    n_pairs: int = 500,
-    repeats: int = 5,
-) -> tuple[pd.DataFrame, pd.DataFrame]:
+def run(fast: bool = False) -> tuple[pd.DataFrame, pd.DataFrame]:
     """Returns (error table, max-core table) — the two blocks of Table 7."""
     names = ["caHe"] if fast else DATASETS
     hs = [1, 2] if fast else H_VALUES
-    if fast:
-        n_pairs, repeats = 50, 2
+    n_pairs, repeats = (50, 2) if fast else (N_PAIRS, REPEATS)
     err_rows: dict[str, dict] = {}
     core_rows = []
     for name in names:
@@ -72,7 +69,7 @@ def run(
                 # the same landmarks in each repeat, so it selects them once.
                 if lm is None or method == "core":
                     lm = select_landmarks(
-                        g, method, ell=ell, h=h,
+                        g, method, ell=ELL, h=h,
                         core=cores.get(h), seed=1000 * rep + h, dist=dist,
                     )
                 errs.append(

@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from repro.clubs import (
-    ClubBudgetExceeded,
     is_h_club,
     max_h_club_dbc,
     max_h_club_itdbc,
@@ -49,7 +48,7 @@ def test_wrapper_matches_direct(seed, algo):
     g = erdos_renyi(12, 0.2, seed=seed)
     h = 2
     direct = int(algo(g, h).sum())
-    wrapped = max_h_club_with_cores(g, h, algo)
+    wrapped = max_h_club_with_cores(g, h, algo, h_lb_ub(g, h))
     assert is_h_club(g.adjacency, wrapped, h)
     assert int(wrapped.sum()) == direct
 
@@ -205,19 +204,6 @@ def test_search_cost_golden_rnpa(h):
         assert got == RNPA_CLUB_COSTS[h][label], label
 
 
-def test_wrapper_charges_its_own_decomposition():
-    g = erdos_renyi(30, 0.15, seed=1)
-    dec = h_lb_ub(g, 2)
-    given, own = Counter(), Counter()
-    max_h_club_with_cores(g, 2, max_h_club_itdbc, decomposition=dec, counter=given)
-    max_h_club_with_cores(g, 2, max_h_club_itdbc, counter=own)
-    assert own.visits == given.visits + dec.visits
-    assert own.bfs_calls == given.bfs_calls + dec.bfs_calls
-    with pytest.raises(ClubBudgetExceeded) as ei:
-        max_h_club_with_cores(g, 2, max_h_club_itdbc, counter=Counter(visit_budget=0))
-    assert is_h_club(g.adjacency, ei.value.incumbent, 2)
-
-
 def test_disconnected_components_handled():
     # Two cliques of different sizes, no connection.
     edges = [[i, j] for i in range(4) for j in range(i + 1, 4)]
@@ -234,4 +220,4 @@ def test_empty_mask():
     g0 = Graph.from_edges(0, np.zeros((0, 2), dtype=np.int64))
     for algo in (max_h_club_dbc, max_h_club_itdbc):
         assert algo(g0, 2).shape == (0,)
-        assert max_h_club_with_cores(g0, 2, algo).shape == (0,)
+        assert max_h_club_with_cores(g0, 2, algo, h_lb_ub(g0, 2)).shape == (0,)

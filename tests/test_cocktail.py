@@ -15,7 +15,7 @@ from repro.graphs.graph import Graph
 def test_solution_contains_query_connected_min_degree(seed):
     g = erdos_renyi(20, 0.2, seed=seed)
     q = [0, 5]
-    mask, k = cocktail_party(g, q, h=2)
+    mask, k = cocktail_party(g, q, 2, h_lb_ub(g, 2))
     if k < 0:
         pytest.skip("query not connected in this draw")
     assert mask[q].all()
@@ -31,7 +31,7 @@ def test_optimality_vs_bruteforce(seed):
     g = erdos_renyi(9, 0.3, seed=seed)
     q = [0, 1]
     h = 2
-    mask, k = cocktail_party(g, q, h)
+    mask, k = cocktail_party(g, q, h, h_lb_ub(g, h))
     best = -1
     others = [v for v in range(g.n) if v not in q]
     for r in range(len(others) + 1):
@@ -53,13 +53,13 @@ def test_optimality_vs_bruteforce(seed):
 
 def test_disconnected_query_returns_empty():
     g = Graph.from_edges(4, np.array([[0, 1], [2, 3]]))
-    mask, k = cocktail_party(g, [0, 2], h=3)
+    mask, k = cocktail_party(g, [0, 2], 3, h_lb_ub(g, 3))
     assert k == -1 and not mask.any()
 
 
 def test_single_query_vertex_gets_top_core_component():
     g = erdos_renyi(15, 0.3, seed=1)
-    mask, k = cocktail_party(g, [3], h=2)
+    mask, k = cocktail_party(g, [3], 2, h_lb_ub(g, 2))
     assert mask[3]
     assert k >= 0
 
@@ -68,7 +68,7 @@ def test_single_query_vertex_gets_top_core_component():
 def test_rejects_empty_or_out_of_range_query(query):
     g = Graph.from_edges(4, np.array([[0, 1], [1, 2], [2, 3]]))
     with pytest.raises(ValueError, match="query"):
-        cocktail_party(g, query, h=2)
+        cocktail_party(g, query, 2, h_lb_ub(g, 2))
 
 
 @pytest.mark.parametrize("name", ["coli", "rnPA"])

@@ -15,7 +15,7 @@ from tests.conftest import small_graph
 @pytest.mark.parametrize("h", [2, 3])
 def test_coloring_valid(seed, h):
     g = erdos_renyi(20, 0.15, seed=seed)
-    colors = greedy_distance_h_coloring(g, h)
+    colors = greedy_distance_h_coloring(g, h, h_bz(g, h).order)
     assert (colors >= 0).all()
     assert is_valid_distance_h_coloring(g, h, colors)
 
@@ -26,7 +26,7 @@ def test_colors_bounded_by_power_graph_degeneracy(seed, h):
     """Greedy smallest-last coloring of G^h uses <= 1 + degeneracy(G^h)
     colors — the provable version of the Theorem-1 bound chain."""
     g = erdos_renyi(18, 0.18, seed=seed)
-    colors = greedy_distance_h_coloring(g, h)
+    colors = greedy_distance_h_coloring(g, h, h_bz(g, h).order)
     gh_degeneracy = int(classic_core_decomposition(power_graph(g, h)).max())
     assert int(colors.max()) + 1 <= 1 + gh_degeneracy
 
@@ -51,7 +51,7 @@ def test_theorem1_bound_empirical(model, seed, h):
 
 
 def test_path_coloring(path_graph):
-    colors = greedy_distance_h_coloring(path_graph, 2)
+    colors = greedy_distance_h_coloring(path_graph, 2, h_bz(path_graph, 2).order)
     # On P5 with h=2, any window of 3 consecutive vertices needs distinct
     # colors -> at least 3 colors, and greedy achieves exactly 3.
     assert int(colors.max()) + 1 == 3
@@ -59,7 +59,7 @@ def test_path_coloring(path_graph):
 
 
 def test_clique_coloring(clique_graph):
-    colors = greedy_distance_h_coloring(clique_graph, 1)
+    colors = greedy_distance_h_coloring(clique_graph, 1, h_bz(clique_graph, 1).order)
     assert int(colors.max()) + 1 == 6  # K6 needs 6 colors
     assert is_valid_distance_h_coloring(clique_graph, 1, colors)
 
@@ -71,7 +71,7 @@ def test_invalid_coloring_detected(path_graph):
 
 def test_ring_coloring_h2():
     g = watts_strogatz(12, 2, 0.0, seed=0)  # plain 12-cycle
-    colors = greedy_distance_h_coloring(g, 2)
+    colors = greedy_distance_h_coloring(g, 2, h_bz(g, 2).order)
     assert is_valid_distance_h_coloring(g, 2, colors)
     assert int(colors.max()) + 1 >= 3
 

@@ -2,6 +2,7 @@
 import numpy as np
 import pytest
 
+from repro.core import h_lb_ub
 from repro.core.kernels import all_h_degrees
 from repro.densest.densest import (
     approximation_floor,
@@ -19,7 +20,7 @@ from repro.graphs.graph import Graph
 def test_theorem4_guarantee(seed, h):
     g = erdos_renyi(11, 0.25, seed=seed)
     _, f_star = exact_densest_bruteforce(g, h)
-    _, f_core = core_based_densest(g, h)
+    _, f_core = core_based_densest(g, h, h_lb_ub(g, h))
     assert f_core <= f_star + 1e-9  # core is a candidate, cannot beat optimum
     assert f_core >= approximation_floor(f_star) - 1e-9
 
@@ -50,7 +51,7 @@ def test_densest_prefers_dense_clump():
     edges = [[i, j] for i in range(6) for j in range(i + 1, 6)]
     edges += [[5, 6], [6, 7], [7, 8], [8, 9]]
     g = Graph.from_edges(10, np.array(edges))
-    mask, f = core_based_densest(g, 2)
+    mask, f = core_based_densest(g, 2, h_lb_ub(g, 2))
     assert mask[:6].all()
     assert not mask[9]
     assert f >= 5.0

@@ -2,6 +2,7 @@
 import numpy as np
 import pytest
 
+from repro.core import h_lb_ub
 from repro.core.kernels import all_h_degrees, distance_matrix
 from repro.graphs.datasets import load
 from repro.graphs.generators import barabasi_albert, erdos_renyi
@@ -44,7 +45,7 @@ def test_betweenness_clique(clique_graph):
 @pytest.mark.parametrize("method", ["core", "cc", "bc", "hdeg"])
 def test_select_landmarks_count_and_validity(method):
     g = barabasi_albert(60, 2, seed=5)
-    lm = select_landmarks(g, method, ell=10, h=2, seed=3)
+    lm = select_landmarks(g, method, ell=10, h=2, core=h_lb_ub(g, 2).core, seed=3)
     assert len(lm) == 10
     assert len(set(int(v) for v in lm)) == 10
     assert all(0 <= int(v) < g.n for v in lm)
@@ -81,8 +82,6 @@ def test_estimate_error_bounds_sandwich():
 
 def test_core_landmarks_top_core_membership():
     g = barabasi_albert(60, 3, seed=7)
-    from repro.core import h_lb_ub
-
     res = h_lb_ub(g, 2)
     lm = select_landmarks(g, "core", ell=5, h=2, core=res.core, seed=0)
     top = res.core.max()
@@ -92,11 +91,18 @@ def test_core_landmarks_top_core_membership():
 def test_fewer_core_vertices_than_ell_falls_back():
     # Tiny graph where the top core is smaller than ell.
     g = Graph.from_edges(6, np.array([[0, 1], [1, 2], [2, 0], [3, 4]]))
-    lm = select_landmarks(g, "core", ell=5, h=2, seed=0)
+    lm = select_landmarks(g, "core", ell=5, h=2, core=h_lb_ub(g, 2).core, seed=0)
     assert len(lm) == 5
     g0 = Graph.from_edges(0, np.zeros((0, 2), dtype=np.int64))
     for h in (1, 2):
-        assert len(select_landmarks(g0, "core", ell=5, h=h, seed=0)) == 0
+        core = h_lb_ub(g0, h).core
+        assert len(select_landmarks(g0, "core", ell=5, h=h, core=core, seed=0)) == 0
+
+
+def test_core_landmarks_require_the_core():
+    g = erdos_renyi(10, 0.3, seed=0)
+    with pytest.raises(ValueError, match="core"):
+        select_landmarks(g, "core", ell=3, h=2)
 
 
 @pytest.mark.parametrize("h", [1, 2, 3])

@@ -162,7 +162,7 @@ def test_hlbub_parallel_intervals_requires_spark():
         h_lb_ub(g, 2, parallel="intervals")
     # A misspelt or Spark-less mode must not run something else under its name.
     for kw in ({"parallel": "hdegree"}, {"parallel": "interval"}, {"ub_kind": "UB"},
-               {"rule": "Paper"}):
+               {"rule": "Paper"}, {"s": 0}, {"s": -3}, {"s": 1.5}):
         with pytest.raises(ValueError):
             h_lb_ub(g, 2, **kw)
     for kw in ({"lb": "LB2"}, {"lb": "none"}, {"rule": "Paper"}):

@@ -14,7 +14,7 @@ from repro.tables.common import NT, run_with_budget
 
 def test_run_with_budget_ok():
     g = erdos_renyi(20, 0.2, seed=0)
-    cell = run_with_budget(h_bz, g, 2)
+    cell = run_with_budget(h_bz, g, 2, time_budget_s=60.0)
     assert isinstance(cell.runtime_s, float)
     assert cell.visits > 0
     assert cell.core_max is not None and cell.core_max >= 1
@@ -22,7 +22,7 @@ def test_run_with_budget_ok():
 
 def test_run_with_budget_nt():
     g = erdos_renyi(40, 0.3, seed=0)
-    cell = run_with_budget(h_bz, g, 3, visit_budget=10)
+    cell = run_with_budget(h_bz, g, 3, time_budget_s=-1)  # deadline already past
     assert cell.runtime_s == NT and cell.visits == NT
 
 
