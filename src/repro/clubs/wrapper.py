@@ -12,7 +12,7 @@ from typing import Callable
 import numpy as np
 
 from repro.clubs.clubs import star_incumbent
-from repro.core.kernels import Counter, check_h, substrate
+from repro.core.kernels import Counter, check_decomposition, check_h, substrate
 from repro.core.types import CoreResult
 from repro.graphs.graph import Graph
 
@@ -39,6 +39,7 @@ def max_h_club_with_cores(
             out the solver raises :class:`ClubBudgetExceeded`.
     """
     check_h(h)
+    check_decomposition(g, decomposition.core, h, decomposition.h)
     # Seed with the global star incumbent (a valid h-club for h >= 2): the
     # inner exact calls then kernelize against the best known size from the
     # start, exactly as a warm-started IP solver would. They also carry it

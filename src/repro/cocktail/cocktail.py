@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.core.kernels import bounded_reach, substrate
+from repro.core.kernels import bounded_reach, check_decomposition, check_h, substrate
 from repro.core.types import CoreResult
 from repro.graphs.graph import Graph
 
@@ -28,6 +28,8 @@ def cocktail_party(
     connected even in the 0-core (i.e., not in one component of G). Raises
     ``ValueError`` for an empty query or an id outside ``[0, n)``.
     """
+    check_h(h)
+    check_decomposition(g, decomposition.core, h, decomposition.h)
     q = np.asarray(query, dtype=np.int64)
     if q.size == 0 or q.min() < 0 or q.max() >= g.n:
         raise ValueError(f"query must be non-empty ids in [0, {g.n}), got {query!r}")

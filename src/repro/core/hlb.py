@@ -6,13 +6,10 @@ lazily, only when the peel front reaches the bound. This skips the h-degree
 re-computations that dominate h-BZ.
 
 By default (``rule="reuse"``, beyond the paper) CoreDecomp keeps the same
-laziness after each peel: a hit neighbour not at distance exactly h goes back
-to its lower-bound bucket and is recomputed once, when popped, unless it is
-already settled at the current level; a pop recomputed at or below the level
-is peeled at once (the ``"lazy"`` rule of :mod:`repro.core.decomp`).
-``rule="paper"`` recomputes every hit neighbour at once,
-as Algorithm 3 does (Tables 3 and 5). Cores are the same; only visits, BFS
-calls and the peel order differ.
+laziness after each peel: it runs the ``"lazy"`` rule of
+:mod:`repro.core.decomp`, which says why that stays exact. ``rule="paper"``
+recomputes every hit neighbour at once, as Algorithm 3 does (Tables 3 and
+5). Cores are the same; only visits, BFS calls and the peel order differ.
 """
 from __future__ import annotations
 
@@ -45,16 +42,12 @@ def h_lb(
         rule: "reuse" (default) = a hit neighbour goes back to its lower
             bound until popped; "paper" = Algorithm 3's eager recompute.
 
-    ``extra["lazy_pops"]`` counts the pops that recomputed a lazy vertex and
+    ``extra["lazy_pops"]`` counts the pops that recomputed a lazy vertex,
     ``extra["confirmed"]`` those that found its h-degree at most the current
-    level k: ``"paper"`` puts it back in bucket k and peels it on a later
-    pop, ``"reuse"`` peels it at once from the same h-BFS, which is exact
-    because nothing was peeled in between and any vertex of h-degree at most
-    k at level k has core index k. ``extra["guarded"]`` counts the hits
-    ``"reuse"`` skipped: a neighbour whose last exact h-degree, lowered only
-    by exact decrements, is at most k. That value bounds its current
-    h-degree from above, and the neighbour already sits in bucket k, so it
-    is peeled at k without a re-bucket or a recompute (0 under ``"paper"``).
+    level k (``"reuse"`` peels them at once, ``"paper"`` puts them back in
+    bucket k), and ``extra["guarded"]`` the hits ``"reuse"`` skipped because
+    the neighbour was already settled at k (0 under ``"paper"``). The
+    :mod:`repro.core.decomp` docstring says why each step is exact.
     """
     check_h(h)
     if lb not in get_args(LowerBoundKind):

@@ -9,16 +9,12 @@ CoreDecomp (Algorithm 3) peels what is left. The bounds live in
 :mod:`repro.core.bounds` and both peels in :mod:`repro.core.decomp`.
 
 By default (``rule="reuse"``, beyond the paper) both steps reuse what is
-already known. ImproveLB runs an h-BFS only from the vertices of V[k] that no
-higher partition has assigned (still over the whole of G[V[k]]), which
-leaves the cleaned V[k], LB3 and every core unchanged (see
-:func:`repro.core.bounds.improve_lb`). CoreDecomp puts a hit neighbour not at
-distance exactly h back at its lower bound and recomputes it once, when
-popped, unless it is already settled at the current level, and peels a pop
-recomputed at or below the level at once (the ``"lazy"`` rule of
-:mod:`repro.core.decomp`). ``rule="paper"`` runs Algorithm 6's batch from
-every vertex of V[k] and Algorithm 3's eager recompute (Tables 3 and 5).
-Cores are the same; only visits and BFS calls differ.
+already known: ImproveLB runs an h-BFS only from the vertices of V[k] that no
+higher partition has assigned (:func:`repro.core.bounds.improve_lb`), and
+CoreDecomp runs the ``"lazy"`` rule of :mod:`repro.core.decomp`; each says
+why it stays exact. ``rule="paper"`` runs Algorithm 6's batch from every
+vertex of V[k] and Algorithm 3's eager recompute (Tables 3 and 5). Cores
+are the same; only visits and BFS calls differ.
 
 Two execution modes reproduce the paper's §4.6 multithreading options:
 
@@ -45,7 +41,7 @@ from repro.core.kernels import (  # noqa: F401
     Adjacency, Counter, bounded_reach, check_h, kernel_name, substrate,
 )
 from repro.core.types import CoreResult
-from repro.graphs.graph import Graph, pack_adjacency, unpack_adjacency
+from repro.graphs.graph import Graph
 
 ParallelMode = Literal["none", "hdegree", "intervals"]
 UpperBoundKind = Literal["ub", "hdegree"]
@@ -129,25 +125,18 @@ def h_lb_ub(
            sub-computations as Spark tasks); both Spark modes need ``spark``.
         ub_kind: "ub" = Algorithm 5's power-graph bound (the paper's h-LB+UB);
            "hdegree" = the plain h-degree baseline bound (Table 5 ablation).
-        rule: "reuse" (default) = ImproveLB runs an h-BFS only from the
-           vertices of V[k] no higher partition has assigned, and CoreDecomp
-           puts hit neighbours back at their lower bound; "paper" =
-           Algorithm 6's batch from every vertex of V[k] and Algorithm 3's
-           eager recompute (Tables 3 and 5). Cores are the same; only visits
-           and BFS calls differ.
+        rule: "reuse" (default) = ImproveLB skips the vertices a higher
+           partition assigned, and CoreDecomp runs the ``"lazy"`` rule;
+           "paper" = Algorithm 6's batch from every vertex of V[k] and
+           Algorithm 3's eager recompute (Tables 3 and 5).
 
     ``extra["partitions"]`` holds one record per interval of the sequential
     sweep (the intervals mode keeps none): kmin, kmax, |V[k]| before and
     after cleaning (``vk_in``, ``vk_out``), the h-BFS ImproveLB ran and
-    skipped (``bfs_ran + bfs_skipped == vk_in``), and CoreDecomp's counts
-    as in :func:`repro.core.hlb.h_lb`: its lazy pops (``lazy_pops``), those
-    whose recomputed h-degree was at most the current level k
-    (``confirmed``: ``"reuse"`` peels them at once from that h-BFS,
-    ``"paper"`` puts them back in bucket k), and the hits ``"reuse"`` skipped
-    because the neighbour's last exact h-degree, an upper bound on its
-    current one, was already at most k (``guarded``; it sits in bucket k and
-    is peeled there). ``extra["lazy_pops"]``, ``extra["confirmed"]`` and
-    ``extra["guarded"]`` are their totals.
+    skipped (``bfs_ran + bfs_skipped == vk_in``), and CoreDecomp's
+    ``lazy_pops``, ``confirmed`` and ``guarded`` counts, as in
+    :func:`repro.core.hlb.h_lb`. ``extra["lazy_pops"]``,
+    ``extra["confirmed"]`` and ``extra["guarded"]`` are their totals.
     """
     check_h(h)
     if s is not None:
@@ -163,7 +152,7 @@ def h_lb_ub(
     counter = counter if counter is not None else Counter()
     n = g.n
     spark_for_batches = spark if parallel == "hdegree" else None
-    # The Spark fan-out broadcasts the bit-packed dense matrix.
+    # Spark tasks walk the dense matrix, the one format pregel.hdegree ships.
     A = substrate(g) if spark_for_batches is None else g.adjacency
     deg0 = batch_h_degrees(A, np.ones(n, dtype=bool), h, counter, spark_for_batches)
     _, lb2 = lower_bounds(A, h, counter, spark_for_batches)
@@ -205,37 +194,33 @@ def _run_intervals_spark(
 ) -> tuple[np.ndarray, int]:
     """Paper §4.6 option 1: the intervals as independent Spark sub-computations.
 
-    ``min(len(intervals), defaultParallelism)`` tasks run their intervals in
-    turn, each from fresh core and LB3 vectors. An interval re-derives V[kmin]
-    from the broadcast UB, runs ImproveLB + CoreDecomp on G[V[kmin]] and emits
-    (vertex, core) for the cores inside it, leaving higher ones to their own
-    interval; the union is the full decomposition (tested equal to the
-    sequential mode). Returns ``(core, len(intervals))``: ``extra["tasks"]``
-    counts interval sub-computations, not Spark tasks. With no interval
-    nothing is broadcast.
+    :func:`repro.pregel.hdegree.fan_out` runs them in
+    ``min(len(intervals), defaultParallelism)`` tasks, each taking its
+    intervals in turn from fresh core and LB3 vectors; UB and LB2 ride in the
+    task's closure. An interval re-derives V[kmin] from UB, runs ImproveLB +
+    CoreDecomp on G[V[kmin]] and emits the ids and cores inside it, leaving
+    higher ones to their own interval; the union is the full decomposition
+    (tested equal to the sequential mode). Returns ``(core, len(intervals))``:
+    ``extra["tasks"]`` counts interval sub-computations, not Spark tasks.
+    With no interval nothing is broadcast.
     """
+    from repro.pregel.hdegree import fan_out
+
     n = g.n
     if not intervals:
         return np.zeros(n, dtype=np.int64), 0
-    sc = spark.sparkContext
-    b_adj = sc.broadcast(pack_adjacency(g.adjacency))
-    b_bounds = sc.broadcast((ub, lb2))
 
-    def run_some(part):
-        A_task = unpack_adjacency(b_adj.value, n)
-        ub_t, lb2_t = b_bounds.value
-        for kmin, kmax in part:
+    def task(A_task, share):
+        for kmin, kmax in share:
             core_t = np.zeros(n, dtype=np.int64)
             lb3_t = np.zeros(n, dtype=np.int64)
-            _run_interval(A_task, h, kmin, kmax, ub_t, lb2_t, core_t, lb3_t, None,
-                          rule=rule)
-            # Cores of 0 need no pair: the driver's vector starts at 0.
-            for v in np.flatnonzero(core_t).tolist():
-                yield v, int(core_t[v])
+            _run_interval(A_task, h, kmin, kmax, ub, lb2, core_t, lb3_t, None, rule=rule)
+            # Cores of 0 need no entry: the driver's vector starts at 0.
+            ids = np.flatnonzero(core_t)
+            yield ids, core_t[ids]
 
-    parts = min(len(intervals), int(sc.defaultParallelism))
-    rdd = sc.parallelize(intervals, parts).mapPartitions(run_some)
-    pairs = np.array(rdd.collect(), dtype=np.int64).reshape(-1, 2)
+    parts = min(len(intervals), int(spark.sparkContext.defaultParallelism))
     core = np.zeros(n, dtype=np.int64)
-    core[pairs[:, 0]] = pairs[:, 1]
+    for ids, ks in fan_out(spark, g.adjacency, intervals, parts, task):
+        core[ids] = ks
     return core, len(intervals)

@@ -90,6 +90,17 @@ def check_h(h: int, name: str = "h") -> None:
         raise ValueError(f"{name} must be >= 1 and an integer, got {h!r}")
 
 
+def check_decomposition(g: Graph, core: np.ndarray, h: int | None = None,
+                        core_h: int | None = None) -> None:
+    """Reject core indexes that are not of ``g`` or, given ``core_h``, not
+    at distance ``h``: an application reading them would answer for
+    another graph or another h, silently or with a NumPy shape error."""
+    if len(core) != g.n:
+        raise ValueError(f"the decomposition has {len(core)} vertices, the graph {g.n}")
+    if core_h != h:
+        raise ValueError(f"the decomposition is at h={core_h}, not h={h}")
+
+
 def substrate(g: Graph) -> Adjacency:
     """The adjacency the h-BFS kernel walks for ``g``: lists if sparse.
 

@@ -11,7 +11,7 @@ from itertools import combinations
 
 import numpy as np
 
-from repro.core.kernels import all_h_degrees, check_h, substrate
+from repro.core.kernels import all_h_degrees, check_decomposition, check_h, substrate
 from repro.core.types import CoreResult
 from repro.graphs.graph import Graph
 
@@ -29,6 +29,8 @@ def avg_h_degree(g: Graph, mask: np.ndarray, h: int) -> float:
 def core_based_densest(g: Graph, h: int, decomposition: CoreResult) -> tuple[np.ndarray, float]:
     """The core with maximum average h-degree (the paper's approximation),
     read from ``decomposition``, the (k,h)-core decomposition of ``g``."""
+    check_h(h)
+    check_decomposition(g, decomposition.core, h, decomposition.h)
     core = decomposition.core
     best_mask = np.ones(g.n, dtype=bool)
     best_f = avg_h_degree(g, best_mask, h)

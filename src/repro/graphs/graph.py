@@ -7,7 +7,7 @@ lazily from the canonical edge array:
 
 - ``adjacency``: a dense ``(n, n)`` boolean matrix. A NumPy row scan costs
   O(n) per frontier vertex whatever its degree, which is cheap on dense
-  graphs, and it bit-packs to n²/8 bytes for Spark broadcasts;
+  graphs;
 - ``adjacency_lists``: sorted neighbour lists, O(n + m) memory, walked in
   pure Python at a cost proportional to degree. On sparse graphs this is
   several times faster than the row scan.
@@ -123,14 +123,3 @@ class Graph:
     def both_directions(self) -> np.ndarray:
         """Edges with both (u, v) and (v, u) rows; `adjacency_lists` sorts them."""
         return np.concatenate([self.edges, self.edges[:, ::-1]], axis=0)
-
-
-def pack_adjacency(A: np.ndarray) -> bytes:
-    """Bit-pack a boolean adjacency matrix for cheap Spark broadcast."""
-    return np.packbits(A, axis=1).tobytes()
-
-
-def unpack_adjacency(buf: bytes, n: int) -> np.ndarray:
-    """Inverse of :func:`pack_adjacency`."""
-    packed = np.frombuffer(buf, dtype=np.uint8).reshape(n, -1)
-    return np.unpackbits(packed, axis=1, count=n).astype(bool)

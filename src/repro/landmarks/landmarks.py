@@ -12,7 +12,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.core.kernels import all_h_degrees, check_h, distance_matrix, substrate
+from repro.core.kernels import (
+    all_h_degrees, check_decomposition, check_h, distance_matrix, substrate,
+)
 from repro.graphs.graph import Graph
 
 
@@ -20,14 +22,10 @@ def closeness_centrality(g: Graph, dist: np.ndarray | None = None) -> np.ndarray
     """Closeness = (n-1) / sum of distances to reachable vertices."""
     if dist is None:
         dist = distance_matrix(g.adjacency)
-    n = g.n
-    cc = np.zeros(n, dtype=np.float64)
-    for v in range(n):
-        d = dist[v]
-        reach = d > 0
-        total = d[reach].sum()
-        cc[v] = (int(reach.sum())) / total if total > 0 else 0.0
-    return cc
+    reach = dist > 0
+    total = dist.sum(axis=1, where=reach, dtype=np.int64)
+    return np.divide(np.count_nonzero(reach, axis=1), total,
+                     out=np.zeros(g.n), where=total > 0)
 
 
 def betweenness_centrality(g: Graph) -> np.ndarray:
@@ -85,6 +83,7 @@ def select_landmarks(
     if method == "core":
         if core is None:
             raise ValueError('method "core" requires the core indexes')
+        check_decomposition(g, core)
         top = np.flatnonzero(core == core.max(initial=0))
         if len(top) <= ell:
             # Top core smaller than ell: fill from the next cores down.

@@ -7,6 +7,7 @@ import pytest
 
 import repro.core.hlbub as hlbub_mod
 from repro.clubs import max_h_club_dbc, max_h_club_itdbc, max_h_club_with_cores
+from repro.cocktail import cocktail_party
 from repro.coloring import greedy_distance_h_coloring, is_valid_distance_h_coloring
 from repro.core import Counter, h_bz, h_lb, h_lb_ub
 from repro.core.bounds import lower_bounds, upper_bound
@@ -18,8 +19,9 @@ from repro.core.reference import (
     kh_core_members,
     power_graph,
 )
+from repro.densest import core_based_densest
 from repro.graphs import datasets
-from repro.graphs.generators import erdos_renyi
+from repro.graphs.generators import barabasi_albert, erdos_renyi
 from repro.graphs.graph import Graph
 from repro.landmarks import select_landmarks
 from repro.pregel.peeling import kh_core_bsp
@@ -185,6 +187,25 @@ def test_applications_reject_bad_h(call, h):
     as 3 in the club solvers and as 2 in the coloring; 0 ran the 1-cores)."""
     with pytest.raises(ValueError, match="h must be >= 1"):
         call(erdos_renyi(30, 0.1, seed=1), h)
+
+
+@pytest.mark.parametrize("call,reads_h", [
+    (lambda g, h, dec: max_h_club_with_cores(g, h, max_h_club_dbc, dec), True),
+    (lambda g, h, dec: core_based_densest(g, h, dec), True),
+    (lambda g, h, dec: cocktail_party(g, [0, 5], h, dec), True),
+    (lambda g, h, dec: select_landmarks(g, "core", ell=3, h=h, core=dec.core), False),
+], ids=["alg7", "densest", "cocktail", "landmarks-core"])
+def test_applications_reject_another_decomposition(call, reads_h):
+    """A decomposition of another graph or another h must not be read as
+    this one's (the cocktail party used to answer k = 14 at h = 3 from an
+    h = 2 decomposition; the h = 3 answer is 29)."""
+    g = barabasi_albert(40, 2, seed=1)
+    call(g, 2, h_lb_ub(g, 2))
+    with pytest.raises(ValueError, match="the decomposition has 50 vertices, the graph 40"):
+        call(g, 2, h_lb_ub(barabasi_albert(50, 2, seed=1), 2))
+    if reads_h:
+        with pytest.raises(ValueError, match="the decomposition is at h=2, not h=3"):
+            call(g, 3, h_lb_ub(g, 2))
 
 
 def _digest(order) -> str:

@@ -1,11 +1,9 @@
-"""Graph container and adjacency packing."""
+"""Graph container: canonical edges, both adjacency substrates, induced subgraphs."""
 import numpy as np
 import pytest
 
 from repro.core.kernels import substrate
-from repro.graphs.graph import (
-    DENSE_MAX_BYTES, Graph, canonical_edges, pack_adjacency, unpack_adjacency,
-)
+from repro.graphs.graph import DENSE_MAX_BYTES, Graph, canonical_edges
 
 
 def test_canonical_edges_dedup_and_orient():
@@ -117,12 +115,3 @@ def test_both_directions_doubles():
     both = g.both_directions()
     assert len(both) == 2 * g.m
     assert sorted(map(tuple, both.tolist())) == [(0, 1), (1, 0), (1, 2), (2, 1)]
-
-
-@pytest.mark.parametrize("n", [1, 7, 17, 64, 65])
-def test_pack_unpack_roundtrip(n):
-    rng = np.random.default_rng(n)
-    A = rng.random((n, n)) < 0.3
-    A = np.triu(A, 1)
-    A = A | A.T
-    assert (unpack_adjacency(pack_adjacency(A), n) == A).all()

@@ -1,5 +1,6 @@
 """Distributed layer: the RDD h-degree fan-out (values and visits vs the
-driver kernel), BSP decomposition, Spark-parallel h-LB+UB."""
+driver kernel) and its bit packing, BSP decomposition, Spark-parallel
+h-LB+UB."""
 import numpy as np
 import pytest
 
@@ -25,6 +26,16 @@ def test_h_degrees_spark_matches_kernel(spark, h):
     # into the totals.
     assert (visits, calls) == (c.visits, c.bfs_calls)
     assert calls == int(alive.sum())
+    # Each task passes its share as sources; a strict subset of alive must
+    # still walk all of G[alive] and leave every other vertex at 0.
+    sources = alive.copy()
+    sources[::3] = False
+    c = Counter()
+    expect = all_h_degrees(g.adjacency, alive, h, c, sources)
+    got, visits, calls = h_degrees_spark(spark, g.adjacency, alive, h, sources)
+    assert np.array_equal(got[sources], expect[sources])
+    assert not got[~sources].any()
+    assert (visits, calls) == (c.visits, c.bfs_calls)
 
 
 def test_h_degrees_spark_empty_batch_broadcasts_nothing(spark, monkeypatch):
@@ -42,12 +53,13 @@ def test_h_degrees_spark_empty_batch_broadcasts_nothing(spark, monkeypatch):
 
 
 def test_h_degrees_spark_visits_match_local():
-    """Remote visit accounting must equal the driver kernel's accounting."""
+    """Summing the visits of a batch split into shares gives the whole
+    batch's visits, so the fan-out may add up its tasks' counts."""
     g = erdos_renyi(25, 0.15, seed=3)
     alive = np.ones(g.n, dtype=bool)
     c = Counter()
     all_h_degrees(g.adjacency, alive, 2, c)
-    # Recompute per-vertex and sum — same arithmetic the executor does.
+    # The finest split: one share per vertex, each with its own Counter.
     total = 0
     for v in range(g.n):
         c2 = Counter()
@@ -168,3 +180,14 @@ def test_hlbub_parallel_intervals_requires_spark():
     for kw in ({"lb": "LB2"}, {"lb": "none"}, {"rule": "Paper"}):
         with pytest.raises(ValueError):
             h_lb(g, 2, **kw)
+
+
+@pytest.mark.parametrize("n", [1, 7, 17, 64, 65])
+def test_pack_unpack_roundtrip(n):
+    rng = np.random.default_rng(n)
+    A = rng.random((n, n)) < 0.3
+    A = np.triu(A, 1)
+    A = A | A.T
+    assert (hdegree_mod._unpack(hdegree_mod._pack(A), A.shape) == A).all()
+    # The alive mask goes out packed as one row.
+    assert (hdegree_mod._unpack(hdegree_mod._pack(A[0]), (n,)) == A[0]).all()
